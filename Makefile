@@ -105,9 +105,8 @@ bench-telemetry:
 bench-json:
 	$(GO) run ./cmd/energybench -out BENCH_energy.json
 
-# Per-pass SPH pipeline timing (closure walk vs neighbor list vs Verlet
-# skin vs symmetric folded pairs) at the tracked problem sizes, as
-# machine-readable JSON. This IS the
+# Per-pass SPH pipeline timing (closure-walk reference vs the production
+# path) at the tracked problem sizes, as machine-readable JSON. This IS the
 # perfgate baseline refresh: after an intentional perf change, run
 # `make bench-sph` (with the 1,2,4,8 sweep so the parallel-efficiency
 # fields stay populated) and commit the regenerated BENCH_sph.json
@@ -115,7 +114,7 @@ bench-json:
 bench-sph:
 	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -gomaxprocs 1,2,4,8 -out BENCH_sph.json
 
-# GOMAXPROCS scaling sweep on the Verlet-skin pipeline: per-pass
+# GOMAXPROCS scaling sweep on the production pipeline: per-pass
 # parallel-efficiency fields (t1/(P·tP)) land in gomaxprocs_sweep of the
 # output. Writes to a scratch file so it never clobbers the baseline.
 bench-gomaxprocs:
@@ -129,29 +128,25 @@ perfgate:
 
 # Fast sentinel for `check`: relaxed -smoke tolerances — only gross
 # regressions (a pass's share of step time jumping, allocs blowing up,
-# skin reuse breaking, the cell-slab rebuild win collapsing) fail the
-# gate. 4 measured steps so the ~4-step rebuild cadence lands one rebuild
-# inside the measured window — fewer steps leave the rebuild-split floors
-# unmeasured and silently skipped.
+# the production path's win over the closure walk collapsing) fail the
+# gate.
 perfgate-smoke:
 	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -out /tmp/BENCH_sph_smoke.json
 	$(GO) run ./cmd/perfgate -smoke -baseline BENCH_sph.json /tmp/BENCH_sph_smoke.json
 
-# Fast correctness/liveness gate for `check`: a tiny sphbench run (exercises
-# all five pipelines end to end — closure walk, rebuilt list, Verlet skin,
-# the symmetric folded pair path and the cell-slab sweep; the multi-step
-# run gives the skin real refresh steps), the walk-vs-list,
-# skin-vs-rebuild, symmetric-vs-asymmetric and cell-slab bit-identity
-# equivalence tests plus the skin and fold edge cases (drift threshold,
-# overflow/ngmax fallback, mid-interval restart, bit-identical opt-out,
-# float32-kernel verdict), the zero-allocation regressions on the reusable
-# grid build, the folded passes and the slab gather, and a one-shot pass
-# over the SPH micro-benchmarks.
+# Fast correctness/liveness gate for `check`: a tiny sphbench run (drives
+# both pipelines end to end — the closure-walk reference and the
+# production path), the production-vs-walk equivalence tests (multi-step,
+# periodic and open boxes, every forced GOMAXPROCS of the worker-count
+# sweep), the list-vs-walk bit-identity and ngmax-truncation tests, the
+# fold coverage and checkpoint-resume tests, the zero-allocation
+# regressions on the reusable grid build, the production step and the
+# slab gather, and a one-shot pass over the SPH micro-benchmarks.
 bench-sph-smoke:
 	$(GO) run ./cmd/sphbench -sizes 8 -steps 1 -warmup 1 -out /dev/null
 	$(GO) run ./cmd/sphbench -sizes 10 -steps 4 -warmup 1 -out /dev/null
-	$(GO) test -run 'NeighborListMatchesWalk|NgmaxOverflow|TabulatedKernelPipeline|Skin|Symmetric|Float32|CellSlab' -count=1 ./internal/sph/
-	$(GO) test -run 'ZeroSteadyStateAllocs|QueryZeroAllocs|IntoMatchesBuildGrid|SlabGather' -count=1 ./internal/neighbors/
+	$(GO) test -run 'NeighborListMatchesWalk|NgmaxOverflow|TabulatedKernelPipeline|Symmetric|CellSlab|Production|Checkpoint' -count=1 ./internal/sph/
+	$(GO) test -run 'ZeroSteadyStateAllocs|QueryZeroAllocs|IntoMatchesBuildGrid|SlabGather|SlabSweep' -count=1 ./internal/neighbors/
 	$(GO) test -run xxx -bench 'SPHStep$$' -benchtime 1x ./...
 
 # Decision-observability gate for `check`: a tiny tuned run with the event

@@ -1,15 +1,11 @@
 // Command sphbench measures the real SPH compute layer pass by pass — the
 // per-function decomposition the paper attributes energy to — and writes
 // the results as machine-readable JSON for regression tracking. Each
-// problem size is run five times: with the legacy closure-walk pipeline,
-// with the persistent neighbor list rebuilt every step, with the
-// Verlet-skin list that amortizes rebuilds across steps, with the
-// symmetric folded pair list that visits each interaction once, and with
-// the cell-slab gather sweeping candidates cell by cell on top of the
-// symmetric skin mode — so the
-// file records its own before/after comparisons and future PRs diff
-// against a stable schema (internal/benchfmt; cmd/perfgate is the
-// consumer).
+// problem size is run twice: with the closure-walk reference pipeline and
+// with the production pipeline (cell-slab gather, symmetric folded pairs,
+// rebuilt every step) — so the file records the production path's win
+// over the reference, and later changes diff against a stable schema
+// (internal/benchfmt; cmd/perfgate is the consumer).
 //
 // Passes are timed through the pipeline's own Options.PassHook, so the
 // benchmark exercises the exact RunStep the simulator runs, and
@@ -46,26 +42,14 @@ var passMetrics *telemetry.Registry
 
 // runMode times every pipeline pass over the given number of steps on a
 // fresh Turbulence state, through the pipeline's own PassHook so the timed
-// code path is RunStep itself. SFC reordering is disabled so all modes
+// code path is RunStep itself. SFC reordering is disabled so both modes
 // advance identical trajectories and the comparison is pure pipeline cost.
-// skin < 0 keeps the default Verlet skin; skin == 0 pins the
-// rebuild-every-step list. symmetric enables the folded pair-interaction
-// path on top of the list; cellSlab the cell-slab candidate gather on top
-// of that.
-func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, skin float64) (benchfmt.ModeResult, int) {
+func runMode(nSide, warmup, steps int, closureWalk bool) (benchfmt.ModeResult, int) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(nSide))
 	opt.ClosureWalk = closureWalk
-	opt.SymmetricPairs = symmetric
-	opt.CellSlab = cellSlab
 	opt.ReorderEvery = 0
-	if skin >= 0 {
-		opt.Skin = skin
-	}
 
 	acc := make(map[string]float64, len(benchfmt.PassNames))
-	var rebuildS, refreshS float64
-	var st *sph.State
-	lastRebuilds := 0
 	histHook := telemetry.PassHistogramHook(passMetrics, "pass_seconds",
 		"wall-clock latency per SPH pipeline pass")
 	opt.PassHook = func(pass string, seconds float64) {
@@ -73,22 +57,13 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 		if histHook != nil {
 			histHook(pass, seconds)
 		}
-		if pass == sph.PassFindNeighbors {
-			if st.NbrStats.Rebuilds > lastRebuilds {
-				rebuildS += seconds
-			} else {
-				refreshS += seconds
-			}
-			lastRebuilds = st.NbrStats.Rebuilds
-		}
 	}
 	if profiling {
 		opt.WrapPass = func(pass string, run func()) {
 			telemetry.DoLabeled(true, "pass", pass, run)
 		}
 	}
-	st = sph.NewState(p, opt)
-	lastRebuilds = st.NbrStats.Rebuilds // NewState builds the initial list
+	st := sph.NewState(p, opt)
 
 	var ms runtime.MemStats
 	var mallocsBase uint64
@@ -98,7 +73,6 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 			for k := range acc {
 				delete(acc, k)
 			}
-			rebuildS, refreshS = 0, 0
 			statsBase = st.NbrStats
 			runtime.ReadMemStats(&ms)
 			mallocsBase = ms.Mallocs
@@ -121,30 +95,16 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 	res.NsPerParticleStep[benchfmt.TotalKey] = totalS * 1e9 / denom
 	res.StepMs = totalS * 1e3 / float64(steps)
 
-	if opt.Skin > 0 && !closureWalk {
-		rebuilds := st.NbrStats.Rebuilds - statsBase.Rebuilds
-		refreshes := st.NbrStats.Refreshes - statsBase.Refreshes
-		res.Skin = opt.Skin
-		res.Rebuilds = rebuilds
-		res.Refreshes = refreshes
-		if rebuilds > 0 {
-			res.RebuildIntervalSteps = float64(rebuilds+refreshes) / float64(rebuilds)
-			res.RebuildNsPerParticle = rebuildS * 1e9 / (float64(p.N) * float64(rebuilds))
-		}
-		if refreshes > 0 {
-			res.RefreshNsPerParticle = refreshS * 1e9 / (float64(p.N) * float64(refreshes))
-		}
-		if cellSlab && rebuilds > 0 {
-			gatherS := st.NbrStats.GatherSeconds - statsBase.GatherSeconds
-			filterS := st.NbrStats.FilterSeconds - statsBase.FilterSeconds
-			res.GatherNsPerParticle = gatherS * 1e9 / (float64(p.N) * float64(rebuilds))
-			res.FilterNsPerParticle = filterS * 1e9 / (float64(p.N) * float64(rebuilds))
-		}
+	if !closureWalk {
+		gatherS := st.NbrStats.GatherSeconds - statsBase.GatherSeconds
+		filterS := st.NbrStats.FilterSeconds - statsBase.FilterSeconds
+		res.GatherNsPerParticle = gatherS * 1e9 / denom
+		res.FilterNsPerParticle = filterS * 1e9 / denom
 	}
 	return res, opt.NgTarget
 }
 
-// runSweep measures the symmetric skin-mode pipeline at each GOMAXPROCS
+// runSweep measures the production pipeline at each GOMAXPROCS
 // setting and derives per-pass parallel efficiency t1/(P·tP) against the
 // sweep's lowest-proc measured point (exact t1 when the list includes 1).
 // Points whose worker count exceeds the machine's logical CPUs are
@@ -163,7 +123,7 @@ func runSweep(nSide, warmup, steps int, procs []int) []benchfmt.SweepPoint {
 			continue
 		}
 		runtime.GOMAXPROCS(p)
-		mode, _ := runMode(nSide, warmup, steps, false, true, false, -1)
+		mode, _ := runMode(nSide, warmup, steps, false)
 		points = append(points, benchfmt.SweepPoint{
 			Procs:             p,
 			NsPerParticleStep: mode.NsPerParticleStep,
@@ -257,15 +217,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("size %d³ (%d particles): closure walk...", nSide, nSide*nSide*nSide)
-		walk, ngTarget := runMode(nSide, *warmup, *steps, true, false, false, 0)
-		fmt.Printf(" %.1f ms/step; neighbor list...", walk.StepMs)
-		list, _ := runMode(nSide, *warmup, *steps, false, false, false, 0)
-		fmt.Printf(" %.1f ms/step; verlet skin...", list.StepMs)
-		skin, _ := runMode(nSide, *warmup, *steps, false, false, false, -1)
-		fmt.Printf(" %.1f ms/step; symmetric pairs...", skin.StepMs)
-		symm, _ := runMode(nSide, *warmup, *steps, false, true, false, -1)
-		fmt.Printf(" %.1f ms/step; cell slab...", symm.StepMs)
-		slab, _ := runMode(nSide, *warmup, *steps, false, true, true, -1)
+		walk, ngTarget := runMode(nSide, *warmup, *steps, true)
+		fmt.Printf(" %.1f ms/step; production...", walk.StepMs)
+		prod, _ := runMode(nSide, *warmup, *steps, false)
 		sr := benchfmt.SizeResult{
 			NSide:    nSide,
 			N:        nSide * nSide * nSide,
@@ -273,28 +227,16 @@ func main() {
 			Warmup:   *warmup,
 			Steps:    *steps,
 			Modes: map[string]benchfmt.ModeResult{
-				"closure_walk":            walk,
-				"neighbor_list":           list,
-				"neighbor_list_skin":      skin,
-				"neighbor_list_symmetric": symm,
-				"neighbor_list_cellslab":  slab,
+				"closure_walk": walk,
+				"production":   prod,
 			},
-			SpeedupTotal:             walk.StepMs / list.StepMs,
-			SpeedupSkin:              list.StepMs / skin.StepMs,
-			SpeedupFindNeighborsSkin: list.NsPerParticleStep[sph.PassFindNeighbors] / skin.NsPerParticleStep[sph.PassFindNeighbors],
-			SpeedupSymFolded:         benchfmt.FoldedNs(skin.NsPerParticleStep) / benchfmt.FoldedNs(symm.NsPerParticleStep),
-			SpeedupSymTotal:          skin.StepMs / symm.StepMs,
+			SpeedupTotal: walk.StepMs / prod.StepMs,
 		}
-		if slab.RebuildNsPerParticle > 0 {
-			sr.SpeedupCellSlabRebuild = symm.RebuildNsPerParticle / slab.RebuildNsPerParticle
-		}
-		fmt.Printf(" %.1f ms/step (list %.2fx walk, skin %.2fx list, find_neighbors %.2fx, sym folded %.2fx, sym total %.2fx, slab rebuild %.2fx)\n",
-			slab.StepMs, sr.SpeedupTotal, sr.SpeedupSkin, sr.SpeedupFindNeighborsSkin,
-			sr.SpeedupSymFolded, sr.SpeedupSymTotal, sr.SpeedupCellSlabRebuild)
+		fmt.Printf(" %.1f ms/step (%.2fx walk)\n", prod.StepMs, sr.SpeedupTotal)
 		if len(sweepProcs) > 0 {
-			fmt.Printf("  gomaxprocs sweep %v on symmetric skin mode:\n", sweepProcs)
+			fmt.Printf("  gomaxprocs sweep %v on the production pipeline:\n", sweepProcs)
 			sr.Sweep = runSweep(nSide, *warmup, *steps, sweepProcs)
-			sr.SweepMode = "neighbor_list_symmetric"
+			sr.SweepMode = "production"
 		}
 		o.Sizes = append(o.Sizes, sr)
 	}

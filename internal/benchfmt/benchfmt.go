@@ -31,9 +31,9 @@ var PassNames = []string{
 // TotalKey is the synthetic "pass" holding the whole-step cost.
 const TotalKey = "total"
 
-// FoldedPasses are the pair-interaction passes that the symmetric
-// neighbor-list mode folds to visit each pair once; the symmetric speedup
-// targets are expressed over their summed cost.
+// FoldedPasses are the pair-interaction passes the production path folds
+// to visit each pair once; the parallel-efficiency floor is expressed over
+// their summed cost.
 var FoldedPasses = []string{"xmass", "gradh", "iad", "momentum_energy"}
 
 // FoldedNs sums the folded pair-interaction passes of a per-pass timing
@@ -49,33 +49,22 @@ func FoldedNs(ns map[string]float64) float64 {
 // ModeResult is one pipeline variant's timing at one problem size.
 type ModeResult struct {
 	// NsPerParticleStep maps each pass (plus "total") to nanoseconds per
-	// particle per step, averaged over the measured steps. For the skin
-	// mode find_neighbors is the amortized cost across rebuild and refresh
-	// steps.
+	// particle per step, averaged over the measured steps.
 	NsPerParticleStep map[string]float64 `json:"ns_per_particle_step"`
 	StepMs            float64            `json:"step_ms"`
 	// AllocsPerStep is the mean heap allocation count per measured step
 	// (runtime.MemStats.Mallocs delta), the 0-alloc hot-loop regression
 	// tripwire.
 	AllocsPerStep float64 `json:"allocs_per_step,omitempty"`
-	// Skin-mode extras: how often the candidate list was rebuilt over the
-	// measured steps, the mean steps between rebuilds, and the
-	// find_neighbors cost split by step kind.
-	Skin                 float64 `json:"skin,omitempty"`
-	Rebuilds             int     `json:"rebuilds,omitempty"`
-	Refreshes            int     `json:"refreshes,omitempty"`
-	RebuildIntervalSteps float64 `json:"rebuild_interval_steps,omitempty"`
-	RebuildNsPerParticle float64 `json:"find_neighbors_rebuild_ns_per_particle,omitempty"`
-	RefreshNsPerParticle float64 `json:"find_neighbors_refresh_ns_per_particle,omitempty"`
-	// Cell-slab extras (neighbor_list_cellslab mode only): the rebuild cost
-	// split into the slab candidate gather and the blocked re-filter, per
-	// particle per rebuild.
+	// Production-mode extras: the find_neighbors cost split into the
+	// cell-slab candidate gather and the candidate→list filter, per
+	// particle per step.
 	GatherNsPerParticle float64 `json:"find_neighbors_gather_ns_per_particle,omitempty"`
 	FilterNsPerParticle float64 `json:"find_neighbors_filter_ns_per_particle,omitempty"`
 }
 
 // SweepPoint is one GOMAXPROCS setting of the multicore sweep, run on the
-// skin-mode pipeline.
+// production pipeline.
 type SweepPoint struct {
 	Procs             int                `json:"procs"`
 	NsPerParticleStep map[string]float64 `json:"ns_per_particle_step"`
@@ -99,27 +88,11 @@ type SizeResult struct {
 	Warmup   int                   `json:"warmup_steps"`
 	Steps    int                   `json:"measured_steps"`
 	Modes    map[string]ModeResult `json:"modes"`
-	// SpeedupTotal is closure_walk step time over neighbor_list step time.
+	// SpeedupTotal is closure_walk step time over production step time:
+	// the whole-step win of the production path over the reference.
 	SpeedupTotal float64 `json:"speedup_total"`
-	// SpeedupSkin is neighbor_list step time over neighbor_list_skin step
-	// time, and SpeedupFindNeighborsSkin the same ratio for the
-	// find_neighbors pass alone (the amortization the skin buys).
-	SpeedupSkin              float64 `json:"speedup_skin"`
-	SpeedupFindNeighborsSkin float64 `json:"speedup_find_neighbors_skin"`
-	// SpeedupSymFolded is the summed folded-pass cost (see FoldedPasses) of
-	// neighbor_list_skin over neighbor_list_symmetric — the win from
-	// visiting each pair once. SpeedupSymTotal is the same ratio on whole
-	// steps.
-	SpeedupSymFolded float64 `json:"speedup_symmetric_folded,omitempty"`
-	SpeedupSymTotal  float64 `json:"speedup_symmetric_total,omitempty"`
-	// SpeedupCellSlabRebuild is the find_neighbors rebuild-step cost of
-	// neighbor_list_symmetric over neighbor_list_cellslab — the win of the
-	// cell-slab folded gather on the candidate rebuild itself.
-	SpeedupCellSlabRebuild float64 `json:"speedup_cellslab_rebuild,omitempty"`
 	// Sweep holds the optional GOMAXPROCS sweep (-gomaxprocs), ascending
-	// by Procs. SweepMode names the pipeline mode the sweep ran on
-	// (neighbor_list_symmetric once the symmetric path became the default
-	// sweep subject; empty means the historical neighbor_list_skin).
+	// by Procs. SweepMode names the pipeline mode the sweep ran on.
 	Sweep     []SweepPoint `json:"gomaxprocs_sweep,omitempty"`
 	SweepMode string       `json:"sweep_mode,omitempty"`
 }

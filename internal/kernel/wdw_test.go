@@ -4,19 +4,16 @@ import "testing"
 
 // TestWDWBitIdenticalToSeparateCalls pins the PairEvaluator contract the
 // symmetric SPH path relies on: the fused lookup must return exactly the
-// floats of separate W and DW calls, for the float64 table and its
-// float32 quantization, across the support (including the out-of-support
-// and degenerate-h edges).
+// floats of separate W and DW calls across the support (including the
+// out-of-support and degenerate-h edges).
 func TestWDWBitIdenticalToSeparateCalls(t *testing.T) {
 	tab := NewTable(WendlandC2{}, 512)
-	t32 := Quantize32(tab)
 	kernels := []struct {
 		name string
 		k    Kernel
 		pe   PairEvaluator
 	}{
 		{"table", tab, tab},
-		{"table32", t32, t32},
 	}
 	hs := []float64{0.37, 1, 2.5, 0, -1}
 	for _, kn := range kernels {

@@ -14,16 +14,6 @@ import (
 	"sphenergy/internal/sfc"
 )
 
-// Searcher is the neighbor-search contract shared by the cell grid and the
-// octree backend; the SPH pipeline works against this interface.
-type Searcher interface {
-	// ForEachNeighbor invokes fn for every particle j != i within radius of
-	// particle i, passing the displacement (xi - xj) and distance.
-	ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz, dist float64))
-	// CountNeighbors returns the number of neighbors within radius.
-	CountNeighbors(i int, radius float64) int
-}
-
 // Grid is a uniform-cell acceleration structure over a particle set. Cell
 // contents are stored CSR-style: cellOff[c]..cellOff[c+1] indexes into
 // order, which lists particle indices grouped by cell in ascending order.
@@ -261,14 +251,6 @@ func minImage(d, l float64, periodic bool) float64 {
 		return d + l
 	}
 	return d
-}
-
-// MinImage returns the minimum-image displacement d for a (possibly
-// periodic) dimension of length l. It is the exact arithmetic the grid's
-// Displacement uses, exported so callers refreshing cached pair lists
-// reproduce grid-built displacements bit for bit.
-func MinImage(d, l float64, periodic bool) float64 {
-	return minImage(d, l, periodic)
 }
 
 // Displacement returns the minimum-image displacement vector from particle j

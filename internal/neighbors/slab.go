@@ -20,9 +20,8 @@ import "sphenergy/internal/par"
 // The output is a candidate CSR (offsets + neighbor indices) that is
 // bit-identical — same pair sets, same within-row order — to what per-row
 // ForEachNeighbor queries at radius cut[i] would emit, for any worker
-// count. Row order equality is what lets the SPH layer keep every
-// downstream guarantee (finishParticle's first-ngmax truncation, checkpoint
-// candidate regeneration, 1e-9 pipeline equivalence) without change: the
+// count. Row order equality is what lets the SPH layer keep its
+// first-ngmax truncation and its 1e-9 equivalence to the closure walk: the
 // walk emits row i's neighbors grouped by stencil cell in rank order
 // (rank = (dz+1)·9+(dy+1)·3+(dx+1), ascending) and ascending within each
 // cell, and the sweep reproduces exactly that via per-(row, rank) bucket
@@ -115,16 +114,18 @@ func slabFeasible(g *Grid, maxCut float64) bool {
 
 // Gather computes, for every particle i, the candidate set
 // {j != i : |minimum-image(x_i - x_j)| ² < cut[i]²} over the given grid as
-// a CSR (offsets of length n+1, neighbor indices, squared distances),
-// visiting each unordered pair once. The emitted r2 values equal exactly
-// what the walk computes for the same pairs, so callers can derive
-// bit-identical distances (math.Sqrt(r2)) without re-evaluating
-// displacements. offsets, idx and r2 are reused when large enough; the
-// (possibly grown) slices are returned. ok is false when the grid geometry
-// is infeasible for the sweep (fewer than 4 cells on an axis, or some cut
-// exceeding the cell size) — the caller falls back to per-row
-// ForEachNeighbor queries, which produce the identical CSR.
-func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []float64) (offOut, idxOut []int32, r2Out []float64, ok bool) {
+// a CSR (offsets of length n+1, neighbor indices, squared distances). The
+// emitted r2 values equal exactly what the walk computes for the same
+// pairs, so callers can derive bit-identical distances (math.Sqrt(r2))
+// without re-evaluating displacements. offsets, idx and r2 are reused when
+// large enough; the (possibly grown) slices are returned.
+//
+// Gather always produces the full CSR. When the grid geometry admits the
+// sweep it visits each unordered pair once and swept is true; otherwise
+// (fewer than 4 cells on an axis, or some cut exceeding the cell size) it
+// runs one ForEachNeighbor query per row, which emits the identical CSR,
+// and swept is false.
+func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []float64) (offOut, idxOut []int32, r2Out []float64, swept bool) {
 	n := len(g.x)
 	if n != len(cut) {
 		panic("neighbors: cut length mismatch")
@@ -136,8 +137,9 @@ func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []f
 		}
 	}
 	// Particle indices share the spill record's pjf word with the two
-	// direction bits, so populations beyond 2³⁰ take the walk fallback.
+	// direction bits, so populations beyond 2³⁰ take the row fallback.
 	if !slabFeasible(g, maxCut) || n > slabIdxMask {
+		offsets, idx, r2 = gatherRows(g, cut, offsets, idx, r2)
 		return offsets, idx, r2, false
 	}
 	ncells := g.nx * g.ny * g.nz
@@ -145,9 +147,6 @@ func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []f
 	workers := par.MaxWorkers()
 	if n < slabSerialMinN {
 		workers = 1
-	}
-	if workers > ncells {
-		workers = ncells
 	}
 	for len(ss.spills) < workers {
 		ss.spills = append(ss.spills, &slabSpill{})
@@ -166,6 +165,10 @@ func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []f
 	// per-cell SoA pass no longer touches them, which keeps its stores
 	// sequential.
 	clear(ss.cnt)
+	// live is the number of spill buffers the scan wrote this call; only
+	// those are replayed. The aligned partition can run fewer chunks than
+	// workers, so a buffer past live may hold a previous gather's records.
+	live := 1
 	if workers == 1 {
 		// Serial fast path: direct calls, no closures — steady-state
 		// gathers stay allocation-free (closures passed to ForWorkers
@@ -176,11 +179,11 @@ func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []f
 		par.ForWorkers(ncells, workers, func(_, clo, chi int) {
 			ss.soaCells(g, cut, clo, chi)
 		})
-		// Phase 1: folded half-stencil scan. Each worker owns a contiguous
+		// Phase 1: folded half-stencil scan. Each chunk owns a contiguous
 		// cell range; a (cell, forward-offset) block is processed by
-		// exactly one worker, which is what makes every (row, rank) bucket
+		// exactly one chunk, which is what makes every (row, rank) bucket
 		// single-writer.
-		par.ForWorkers(ncells, workers, func(w, clo, chi int) {
+		live = par.ForWorkers(ncells, workers, func(w, clo, chi int) {
 			ss.scanCells(g, w, clo, chi)
 		})
 	}
@@ -205,16 +208,47 @@ func (ss *SlabSweep) Gather(g *Grid, cut []float64, offsets, idx []int32, r2 []f
 	// Phase 2: deterministic fill. Spills replay in emission order; buckets
 	// are disjoint across spills, so this parallelizes without atomics and
 	// the result is independent of the worker count.
-	if workers == 1 {
+	if live == 1 {
 		ss.fillSpill(ss.spills[0], idx, r2)
 	} else {
-		par.ForWorkers(workers, workers, func(_, lo, hi int) {
+		par.ForWorkers(live, live, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				ss.fillSpill(ss.spills[s], idx, r2)
 			}
 		})
 	}
 	return offsets, idx, r2, true
+}
+
+// gatherRows is Gather's fallback for grids the sweep cannot take: one
+// ForEachNeighbor query per row, counted first and then filled, so rows
+// are written in place without appends. r² is recomputed from the
+// displacement the query passes, the same arithmetic the query admits by.
+func gatherRows(g *Grid, cut []float64, offsets, idx []int32, r2 []float64) ([]int32, []int32, []float64) {
+	n := len(cut)
+	offsets = growInt32(offsets, n+1)
+	par.ForChunked(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			offsets[i+1] = int32(g.CountNeighbors(i, cut[i]))
+		}
+	})
+	offsets[0] = 0
+	for i := 0; i < n; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	idx = growInt32(idx, int(offsets[n]))
+	r2 = growF64(r2, int(offsets[n]))
+	par.ForChunked(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k := offsets[i]
+			g.ForEachNeighbor(i, cut[i], func(j int, dx, dy, dz, _ float64) {
+				idx[k] = int32(j)
+				r2[k] = dx*dx + dy*dy + dz*dz
+				k++
+			})
+		}
+	})
+	return offsets, idx, r2
 }
 
 // soaCells runs Phase 0 over the cell range [clo, chi): gather coordinates

@@ -192,8 +192,8 @@ func TestSlabGatherWorkerCountInvariant(t *testing.T) {
 }
 
 // TestSlabGatherInfeasibleFallsBack: grids the width-1 half-stencil cannot
-// cover must be rejected (ok=false), never silently mis-gathered — the SPH
-// layer falls back to the walk on that signal.
+// cover must not be swept (swept=false), never silently mis-gathered, and
+// the per-row fallback must still return the exact walk CSR.
 func TestSlabGatherInfeasibleFallsBack(t *testing.T) {
 	box := sfc.NewPeriodicCube(0, 1)
 	x, y, z := randomPoints(box, 500, 29)
@@ -202,25 +202,31 @@ func TestSlabGatherInfeasibleFallsBack(t *testing.T) {
 	coarse := BuildGrid(box, x, y, z, 0.34)
 	cut := mixedCuts(500, 0.34, 31)
 	var ss SlabSweep
-	if _, _, _, ok := ss.Gather(coarse, cut, nil, nil, nil); ok {
+	off, idx, r2, ok := ss.Gather(coarse, cut, nil, nil, nil)
+	if ok {
 		t.Fatal("sweep accepted a 3-cell-per-axis grid")
 	}
+	woff, widx, wdist := walkCSR(coarse, cut)
+	compareCSR(t, "coarse fallback", off, idx, r2, woff, widx, wdist)
 
 	// Fine grid, but one cut exceeds the cell size: the stencil would miss
 	// pairs two cells away.
 	fine := BuildGrid(box, x, y, z, 0.1)
 	cut = mixedCuts(500, 0.1, 37)
 	cut[123] = 0.15
-	if _, _, _, ok := ss.Gather(fine, cut, nil, nil, nil); ok {
+	off, idx, r2, ok = ss.Gather(fine, cut, off, idx, r2)
+	if ok {
 		t.Fatal("sweep accepted a cut wider than the cell size")
 	}
+	woff, widx, wdist = walkCSR(fine, cut)
+	compareCSR(t, "wide-cut fallback", off, idx, r2, woff, widx, wdist)
 
-	// Same grid with in-range cuts is accepted and exact.
+	// Same grid with in-range cuts is swept and exact.
 	cut[123] = 0.1
-	off, idx, r2, ok := ss.Gather(fine, cut, nil, nil, nil)
+	off, idx, r2, ok = ss.Gather(fine, cut, off, idx, r2)
 	if !ok {
 		t.Fatal("sweep rejected a feasible grid")
 	}
-	woff, widx, wdist := walkCSR(fine, cut)
+	woff, widx, wdist = walkCSR(fine, cut)
 	compareCSR(t, "fine", off, idx, r2, woff, widx, wdist)
 }

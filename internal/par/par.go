@@ -56,9 +56,50 @@ func chunkSize(n, workers int) int {
 // would ping-pong the shared line between cores on every store (false
 // sharing — measurable on the scatter-heavy symmetric SPH passes).
 type padded64 struct {
-	v    float64
-	used bool
-	_    [55]byte
+	v float64
+	_ [56]byte
+}
+
+// partition returns the chunk length of the split of [0, n) over workers
+// and the number of non-empty chunks, live. The aligned chunk length can
+// leave trailing workers without elements, so live may be smaller than
+// workers; it is 0 for n <= 0.
+func partition(n, workers int) (chunk, live int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	chunk = chunkSize(n, max(workers, 1))
+	return chunk, (n + chunk - 1) / chunk
+}
+
+// run is the one partition loop behind every primitive of the package: it
+// splits [0, n) into at most workers contiguous chunks of chunkSize(n,
+// workers) elements, executes fn(w, lo, hi) for every non-empty chunk —
+// concurrently when there is more than one, inline otherwise — and
+// returns how many chunks ran. Chunk ordinals are 0..live-1 with no gaps,
+// so callers that keep per-chunk state (partials, spill buffers) index
+// exactly the slots that were written.
+func run(n, workers int, fn func(w, lo, hi int)) int {
+	chunk, live := partition(n, workers)
+	if live == 0 {
+		return 0
+	}
+	if live == 1 {
+		fn(0, 0, n)
+		return 1
+	}
+	var wg sync.WaitGroup
+	wg.Add(live)
+	for w := 0; w < live; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, n)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	return live
 }
 
 // For executes fn(i) for every i in [0, n) using up to MaxWorkers
@@ -77,171 +118,59 @@ func For(n int, fn func(i int)) {
 // amortizes across iterations. Loops shorter than SerialGrain run inline on
 // the calling goroutine.
 func ForChunked(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
+	if workers := workersFor(n); workers > 1 {
+		run(n, workers, func(_, lo, hi int) { fn(lo, hi) })
+	} else if n > 0 {
+		fn(0, n) // no adapter closure: the serial path allocates nothing
 	}
-	workers := workersFor(n)
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
-// ForWorkers splits [0, n) into at most workers contiguous aligned chunks
-// and executes fn(w, lo, hi) for each concurrently, passing the chunk
-// ordinal w. Unlike ForChunked the caller chooses the worker count, and the
-// ordinal lets it keep per-worker scratch (e.g. the cell-slab sweep's spill
-// buffers) without any pooling or locking. workers <= 1 runs fn(0, 0, n)
-// inline on the calling goroutine, so serial callers pay no spawn cost.
-// The partition is a pure function of (n, workers).
-func ForWorkers(n, workers int, fn func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+// ForWorkers splits [0, n) into at most workers contiguous aligned chunks,
+// executes fn(w, lo, hi) for each concurrently, and returns the number of
+// chunks that ran. Unlike ForChunked the caller chooses the worker count,
+// and the chunk ordinal w lets it keep per-chunk scratch (e.g. the
+// cell-slab sweep's spill buffers) without pooling or locking; ordinals
+// run 0..live-1, and live can be smaller than workers, so per-chunk state
+// beyond live is stale by construction. workers <= 1 runs fn(0, 0, n)
+// inline on the calling goroutine. The partition is a pure function of
+// (n, workers).
+func ForWorkers(n, workers int, fn func(w, lo, hi int)) int {
+	return run(n, workers, fn)
 }
 
 // SumFloat64 computes sum over i in [0, n) of fn(i) with a parallel
-// tree-free reduction (one partial per worker, summed deterministically in
-// worker order).
+// tree-free reduction (one partial per chunk, summed deterministically in
+// chunk order).
 func SumFloat64(n int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := workersFor(n)
-	if workers == 1 {
+	return Reduce(n, func(lo, hi int) float64 {
 		s := 0.0
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			s += fn(i)
 		}
 		return s
-	}
-	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partials[w].v = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for w := range partials {
-		total += partials[w].v
-	}
-	return total
+	}, func(a, b float64) float64 { return a + b })
 }
 
-// MinFloat64 computes the minimum of fn(i) over [0, n); it returns
-// +Inf-equivalent fallback (the first value) semantics by requiring n > 0.
+// MinFloat64 computes the minimum of fn(i) over [0, n); n must be
+// positive.
 func MinFloat64(n int, fn func(i int) float64) float64 {
 	if n <= 0 {
 		panic("par: MinFloat64 requires n > 0")
 	}
-	workers := workersFor(n)
-	if workers == 1 {
-		m := fn(0)
-		for i := 1; i < n; i++ {
+	return Reduce(n, func(lo, hi int) float64 {
+		m := fn(lo)
+		for i := lo + 1; i < hi; i++ {
 			if v := fn(i); v < m {
 				m = v
 			}
 		}
 		return m
-	}
-	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
+	}, func(a, b float64) float64 {
+		if b < a {
+			return b
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := fn(lo)
-			for i := lo + 1; i < hi; i++ {
-				if v := fn(i); v < m {
-					m = v
-				}
-			}
-			partials[w].v = m
-			partials[w].used = true
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var m float64
-	first := true
-	for w := range partials {
-		if !partials[w].used {
-			continue
-		}
-		if first || partials[w].v < m {
-			m = partials[w].v
-			first = false
-		}
-	}
-	return m
+		return a
+	})
 }
 
 // Reduce splits [0, n) into contiguous chunks, evaluates fn(lo, hi) per
@@ -250,45 +179,20 @@ func MinFloat64(n int, fn func(i int) float64) float64 {
 // count. fn may carry side effects (e.g. filling per-chunk buffers) in
 // addition to its reduction value. Returns 0 for n <= 0.
 func Reduce(n int, fn func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
 	workers := workersFor(n)
 	if workers == 1 {
+		if n <= 0 {
+			return 0
+		}
 		return fn(0, n)
 	}
 	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w].v = fn(lo, hi)
-			partials[w].used = true
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var acc float64
-	first := true
-	for w := range partials {
-		if !partials[w].used {
-			continue
-		}
-		if first {
-			acc = partials[w].v
-			first = false
-		} else {
-			acc = combine(acc, partials[w].v)
-		}
+	live := run(n, workers, func(w, lo, hi int) {
+		partials[w].v = fn(lo, hi)
+	})
+	acc := partials[0].v
+	for w := 1; w < live; w++ {
+		acc = combine(acc, partials[w].v)
 	}
 	return acc
 }

@@ -1,7 +1,5 @@
 package par
 
-import "sync"
-
 // Scatter is a reusable scatter-add reduction for pair-interaction loops
 // that write to both endpoints of every pair. A plain parallel-for cannot
 // run such loops — the scatter to the far endpoint races with the worker
@@ -29,9 +27,7 @@ func (sc *Scatter) Run(n, targets, stride int, body func(lo, hi int, acc []float
 	if n <= 0 || targets <= 0 || stride <= 0 {
 		return nil
 	}
-	workers := workersFor(n)
-	chunk := chunkSize(n, workers)
-	live := (n + chunk - 1) / chunk
+	_, live := partition(n, workersFor(n))
 	if len(sc.bufs) < live {
 		grown := make([][]float64, live)
 		copy(grown, sc.bufs)
@@ -45,26 +41,15 @@ func (sc *Scatter) Run(n, targets, stride int, body func(lo, hi int, acc []float
 			sc.bufs[w] = sc.bufs[w][:size]
 		}
 	}
+	bufs := sc.bufs[:live]
 	if live == 1 {
-		clear(sc.bufs[0])
-		body(0, n, sc.bufs[0])
-		return sc.bufs[:1]
+		clear(bufs[0])
+		body(0, n, bufs[0]) // no adapter closure: the serial path allocates nothing
+		return bufs
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < live; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		buf := sc.bufs[w]
-		wg.Add(1)
-		go func(lo, hi int, buf []float64) {
-			defer wg.Done()
-			clear(buf)
-			body(lo, hi, buf)
-		}(lo, hi, buf)
-	}
-	wg.Wait()
-	return sc.bufs[:live]
+	run(n, workersFor(n), func(w, lo, hi int) {
+		clear(bufs[w])
+		body(lo, hi, bufs[w])
+	})
+	return bufs
 }

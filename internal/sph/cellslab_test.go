@@ -1,193 +1,223 @@
 package sph_test
 
-// Cell-slab neighbor construction tests: CellSlab mode must reproduce the
-// walk-gathered pipeline bit for bit (same candidate CSR, same admitted
-// lists, same physics), engage on realistic problems rather than silently
-// falling back, and replay the same checkpoint/restart schedule.
+// Neighbor-list construction tests: the production list — cell-slab
+// gather, two-pass filter — must equal, row for row and bit for bit, the
+// list per-row walk queries over the same grid produce, including the
+// first-ngmax truncation; the pipeline built on it must track the
+// closure-walk reference physics; and a checkpoint taken between SFC
+// reorders must resume bit-identically.
 //
 // The sweep is only feasible once the grid has ≥4 cells per axis, so the
 // very first build (large pre-adaptation smoothing lengths → coarse grid)
-// always falls back to the walk; tests run enough steps for the adapted
-// rebuilds to engage the slab path and assert via NbrStats.GatherSeconds
-// that they actually did.
+// may take the per-row fallback; the tests assert via SweptLastGather that
+// the sweep really built the lists they check.
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"sphenergy/internal/initcond"
+	"sphenergy/internal/neighbors"
 	"sphenergy/internal/sph"
 )
 
-// TestCellSlabBitIdenticalTurbulence pins the core contract: a CellSlab run
-// is byte-identical to the default walk-gathered run — not merely within
-// tolerance — because the slab sweep emits the exact candidate CSR the
-// per-row walk does and the filter reuses the classic admission arithmetic.
+// walkRows is the reference neighbor list of one FindNeighbors call,
+// built with per-row ForEachNeighbor queries on the grid the call used:
+// candidates at the 1.3-clamped support 2·1.3·h_old in walk order, the
+// old-h count, and the first ngmax candidates within the new 2·h.
+func walkRows(g *neighbors.Grid, hOld, hNew []float64, ngmax int) (off, idx, nc []int32, dist []float64) {
+	n := len(hOld)
+	off = make([]int32, n+1)
+	nc = make([]int32, n)
+	for i := 0; i < n; i++ {
+		off[i] = int32(len(idx))
+		kept := 0
+		g.ForEachNeighbor(i, 2*1.3*hOld[i], func(j int, _, _, _, d float64) {
+			if d < 2*hOld[i] {
+				nc[i]++
+			}
+			if d < 2*hNew[i] && kept < ngmax {
+				idx = append(idx, int32(j))
+				dist = append(dist, d)
+				kept++
+			}
+		})
+	}
+	off[n] = int32(len(idx))
+	return off, idx, nc, dist
+}
+
+// checkAgainstWalkRows runs one FindNeighbors and holds its list to
+// walkRows element for element. Returns whether the sweep built it.
+func checkAgainstWalkRows(t *testing.T, st *sph.State) bool {
+	t.Helper()
+	hOld := append([]float64(nil), st.P.H...)
+	st.FindNeighbors()
+	nl := st.List
+	off, idx, nc, dist := walkRows(st.Grid, hOld, st.P.H, nl.Ngmax)
+	for i := range off {
+		if nl.Offsets[i] != off[i] {
+			t.Fatalf("step %d: Offsets[%d] = %d, walk has %d", st.Step, i, nl.Offsets[i], off[i])
+		}
+	}
+	for k := range idx {
+		if nl.Idx[k] != idx[k] || nl.Dist[k] != dist[k] {
+			t.Fatalf("step %d: entry %d = (%d, %.17g), walk has (%d, %.17g)",
+				st.Step, k, nl.Idx[k], nl.Dist[k], idx[k], dist[k])
+		}
+	}
+	for i := range nc {
+		if st.P.NC[i] != nc[i] {
+			t.Fatalf("step %d: NC[%d] = %d, walk counts %d", st.Step, i, st.P.NC[i], nc[i])
+		}
+	}
+	return st.SweptLastGather()
+}
+
+// TestCellSlabListIdenticalToWalkList compares the full CSR list — offsets,
+// indices, distances — and the neighbor counts element for element against
+// per-row walk queries on every step of a multi-step run with SFC reorders,
+// so warm scratch reuse and index permutations are covered too.
+func TestCellSlabListIdenticalToWalkList(t *testing.T) {
+	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
+	opt.NgTarget = 32
+	opt.ReorderEvery = 2
+	st := sph.NewState(p, opt)
+	swept := 0
+	for s := 0; s < 6; s++ {
+		if s > 0 && s%opt.ReorderEvery == 0 {
+			st.ReorderBySFC()
+		}
+		if checkAgainstWalkRows(t, st) {
+			swept++
+		}
+		st.XMass()
+		st.NormalizationGradh()
+		st.EquationOfState()
+		st.IADVelocityDivCurl()
+		st.AVSwitches(st.Dt)
+		st.MomentumEnergy()
+		st.UpdateQuantities(st.Timestep())
+	}
+	if swept == 0 {
+		t.Fatal("the slab sweep never built a list; only the fallback was checked")
+	}
+}
+
+// TestCellSlabBitIdenticalTurbulence: the sweep's scratch — SoA slabs,
+// bucket counters, per-chunk spill buffers — and the list and scatter
+// buffers are reused from step to step, so no build may leave anything
+// behind that changes the next. A warm run carrying its scratch across
+// steps must stay bit-identical to a cold run that is restarted from a
+// checkpoint into a fresh State before every step, through SFC reorders
+// and a smoothing-length ramp that coarsens the grid. It runs at a worker
+// count whose aligned partitions are uneven and at one whose partitions
+// run fewer chunks than workers, so spill buffers past the live chunks
+// hold records of an earlier gather. 26³ particles put the gather above
+// the sweep's serial threshold, so the per-chunk spills are in play.
 func TestCellSlabBitIdenticalTurbulence(t *testing.T) {
-	run := func(cellSlab bool) *sph.State {
-		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	mk := func() *sph.State {
+		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(26))
 		opt.NgTarget = 32
 		opt.ReorderEvery = 2
-		opt.SymmetricPairs = true
-		opt.CellSlab = cellSlab
-		st := sph.NewState(p, opt)
-		for s := 0; s < 8; s++ {
-			st.RunStep(nil)
-		}
-		return st
+		return sph.NewState(p, opt)
 	}
-	slab := run(true)
-	walk := run(false)
-
-	if slab.NbrStats.GatherSeconds == 0 {
-		t.Fatalf("slab gather never engaged (stats %+v); the mode fell back to the walk throughout", slab.NbrStats)
-	}
-	if walk.NbrStats.GatherSeconds != 0 {
-		t.Fatal("walk run reported slab gather time")
-	}
-
-	ps, pw := slab.P, walk.P
-	fields := []struct {
-		name string
-		a, b []float64
-	}{
-		{"x", ps.X, pw.X}, {"y", ps.Y, pw.Y}, {"z", ps.Z, pw.Z},
-		{"vx", ps.VX, pw.VX}, {"h", ps.H, pw.H},
-		{"rho", ps.Rho, pw.Rho}, {"u", ps.U, pw.U}, {"ax", ps.AX, pw.AX},
-	}
-	for _, f := range fields {
-		for i := range f.a {
-			if f.a[i] != f.b[i] {
-				t.Fatalf("%s[%d] differs between CellSlab and walk gather: %.17g vs %.17g",
-					f.name, i, f.a[i], f.b[i])
+	for _, procs := range []int{3, 32} {
+		runtime.GOMAXPROCS(procs)
+		warm, cold := mk(), mk()
+		var cells []int
+		swept := 0
+		for s := 0; s < 6; s++ {
+			var buf bytes.Buffer
+			if err := cold.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	for i := range ps.NC {
-		if ps.NC[i] != pw.NC[i] {
-			t.Fatalf("NC[%d] differs: %d vs %d", i, ps.NC[i], pw.NC[i])
-		}
-	}
-	if slab.Dt != walk.Dt {
-		t.Fatalf("dt differs: %.17g vs %.17g", slab.Dt, walk.Dt)
-	}
-	if slab.NbrStats.Rebuilds != walk.NbrStats.Rebuilds ||
-		slab.NbrStats.Refreshes != walk.NbrStats.Refreshes {
-		t.Fatalf("rebuild schedules diverged: slab %+v walk %+v", slab.NbrStats, walk.NbrStats)
-	}
-}
-
-// TestCellSlabListIdenticalToWalkList compares the full CSR lists —
-// indices, displacements, distances, the Ext transpose — element for
-// element between the two gather strategies on repeated plain rebuilds
-// (Skin=0 keeps every FindNeighbors a full build, and the un-inflated grid
-// is fine enough for the sweep to engage from the first call).
-func TestCellSlabListIdenticalToWalkList(t *testing.T) {
-	build := func(cellSlab bool) *sph.State {
-		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
-		opt.NgTarget = 32
-		opt.Skin = 0
-		opt.CellSlab = cellSlab
-		st := sph.NewState(p, opt)
-		st.FindNeighbors()
-		st.FindNeighbors() // second build exercises warm scratch reuse
-		return st
-	}
-	slab, walk := build(true), build(false)
-	ls, lw := slab.List, walk.List
-	if ls == nil || lw == nil {
-		t.Fatal("a pipeline failed to build a neighbor list")
-	}
-	if slab.NbrStats.GatherSeconds == 0 {
-		t.Fatal("slab gather never engaged on the plain builds")
-	}
-
-	i32 := []struct {
-		name string
-		a, b []int32
-	}{
-		{"Offsets", ls.Offsets, lw.Offsets}, {"Idx", ls.Idx, lw.Idx},
-		{"ExtOffsets", ls.ExtOffsets, lw.ExtOffsets}, {"ExtIdx", ls.ExtIdx, lw.ExtIdx},
-	}
-	for _, f := range i32 {
-		if len(f.a) != len(f.b) {
-			t.Fatalf("%s length %d != %d", f.name, len(f.a), len(f.b))
-		}
-		for k := range f.a {
-			if f.a[k] != f.b[k] {
-				t.Fatalf("%s[%d] = %d, walk has %d", f.name, k, f.a[k], f.b[k])
+			var err error
+			if cold, err = sph.ReadCheckpoint(&buf, cold.Opt); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	f64 := []struct {
-		name string
-		a, b []float64
-	}{
-		{"Dx", ls.Dx, lw.Dx}, {"Dy", ls.Dy, lw.Dy}, {"Dz", ls.Dz, lw.Dz},
-		{"Dist", ls.Dist, lw.Dist},
-		{"ExtDist", ls.ExtDist, lw.ExtDist},
-	}
-	for _, f := range f64 {
-		if len(f.a) != len(f.b) {
-			t.Fatalf("%s length %d != %d", f.name, len(f.a), len(f.b))
-		}
-		for k := range f.a {
-			if f.a[k] != f.b[k] {
-				t.Fatalf("%s[%d] = %.17g, walk has %.17g", f.name, k, f.a[k], f.b[k])
+			rampH(warm)
+			rampH(cold)
+			cells = append(cells, gridCells(warm))
+			warm.RunStep(nil)
+			cold.RunStep(nil)
+			if warm.SweptLastGather() {
+				swept++
 			}
+			assertBitIdentical(t, warm, cold)
+		}
+		t.Logf("GOMAXPROCS=%d: cells per axis %v, %d swept builds", procs, cells, swept)
+		if swept == 0 {
+			t.Fatalf("GOMAXPROCS=%d: the slab sweep never built a list; only the fallback was checked", procs)
+		}
+		coarsened := false
+		for s := 1; s < len(cells); s++ {
+			coarsened = coarsened || cells[s] < cells[s-1]
+		}
+		if !coarsened {
+			t.Fatalf("GOMAXPROCS=%d: the ramp never coarsened the grid (cells per axis %v)", procs, cells)
 		}
 	}
 }
 
-// compareCellSlabToWalk holds the slab-gathered list pipeline to the
-// closure-walk reference physics over multi-step runs — the same contract
-// as the existing list-vs-walk equivalence, with the slab gather asserted
-// to have actually engaged.
+// TestCellSlabNgmaxOverflowBitIdentical: first-ngmax truncation depends on
+// candidate order, so an overflowing build is the sharpest probe of the
+// slab sweep's order contract and of the filter's row sizing.
+func TestCellSlabNgmaxOverflowBitIdentical(t *testing.T) {
+	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
+	opt.NgTarget = 32
+	opt.NgMax = 8
+	st := sph.NewState(p, opt)
+	if !checkAgainstWalkRows(t, st) {
+		t.Fatal("slab sweep never engaged on the overflowing build")
+	}
+	if st.List.Overflow == 0 {
+		t.Fatal("expected overflow with NgMax=8; the truncation path went untested")
+	}
+	over := 0
+	for i := 0; i < st.P.N; i++ {
+		if st.List.Count(i) == 8 && st.P.NC[i] > 8 {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatal("no row was truncated at the cap")
+	}
+}
+
+// compareCellSlabToWalk holds the production pipeline to the closure-walk
+// reference physics over multi-step runs, with the slab sweep asserted to
+// have built at least one of the lists.
 func compareCellSlabToWalk(t *testing.T, mkState func() *sph.State, steps int, withGravity bool, tol float64) {
 	t.Helper()
 
 	walk := mkState()
 	walk.Opt.ClosureWalk = true
 	walk.Opt.ReorderEvery = 0
-	slab := mkState()
-	slab.Opt.CellSlab = true
-	slab.Opt.ReorderEvery = 0
+	prod := mkState()
+	prod.Opt.ReorderEvery = 0
 
-	var potW, potS []float64
+	var potW, potP []float64
 	if withGravity {
 		potW = make([]float64, walk.P.N)
-		potS = make([]float64, slab.P.N)
+		potP = make([]float64, prod.P.N)
 	}
+	swept := 0
 	for s := 0; s < steps; s++ {
 		stepManual(walk, withGravity, potW)
-		stepManual(slab, withGravity, potS)
-	}
-	if slab.NbrStats.GatherSeconds == 0 {
-		t.Fatalf("slab gather never engaged in %d steps (stats %+v)", steps, slab.NbrStats)
-	}
-
-	pw, ps := walk.P, slab.P
-	for i := range pw.NC {
-		if pw.NC[i] != ps.NC[i] {
-			t.Fatalf("particle %d: neighbor count %d (walk) != %d (cellslab)", i, pw.NC[i], ps.NC[i])
+		stepManual(prod, withGravity, potP)
+		if prod.SweptLastGather() {
+			swept++
 		}
 	}
-	fields := []struct {
-		name string
-		a, b []float64
-	}{
-		{"rho", pw.Rho, ps.Rho},
-		{"u", pw.U, ps.U},
-		{"h", pw.H, ps.H},
-		{"ax", pw.AX, ps.AX},
-		{"x", pw.X, ps.X},
-		{"vx", pw.VX, ps.VX},
+	if swept == 0 {
+		t.Fatalf("slab sweep never engaged in %d steps", steps)
 	}
-	for _, f := range fields {
-		if dev := maxRelDev(f.a, f.b); dev > tol {
-			t.Errorf("%s deviates by %.3g (> %g) after %d steps", f.name, dev, tol, steps)
-		}
-	}
+	compareStates(t, "production-vs-walk", prod, walk, tol)
 }
 
 func TestCellSlabMatchesClosureWalkTurbulence(t *testing.T) {
@@ -203,74 +233,30 @@ func TestCellSlabMatchesClosureWalkEvrard(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Evrard(initcond.DefaultEvrard(10))
 		opt.NgTarget = 32
-		// The slow early collapse never invalidates the skin on its own;
-		// force cadence rebuilds so the adapted grids reach the slab path.
-		opt.RebuildEvery = 2
 		return sph.NewState(p, opt)
 	}
 	compareCellSlabToWalk(t, mk, 6, true, 1e-9)
 }
 
-// TestCellSlabNgmaxOverflowBitIdentical: first-ngmax truncation depends on
-// candidate order, so an overflowing build is the sharpest probe of the
-// slab sweep's order contract.
-func TestCellSlabNgmaxOverflowBitIdentical(t *testing.T) {
-	build := func(cellSlab bool) *sph.State {
-		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
-		opt.NgTarget = 32
-		opt.NgMax = 8
-		opt.Skin = 0
-		opt.CellSlab = cellSlab
-		st := sph.NewState(p, opt)
-		st.FindNeighbors()
-		return st
-	}
-	slab, walk := build(true), build(false)
-	if slab.NbrStats.GatherSeconds == 0 {
-		t.Fatal("slab gather never engaged on the overflowing build")
-	}
-	if walk.List.Overflow == 0 {
-		t.Fatal("expected overflow with NgMax=8; the truncation path went untested")
-	}
-	if slab.List.Overflow != walk.List.Overflow {
-		t.Fatalf("overflow count %d (slab) != %d (walk)", slab.List.Overflow, walk.List.Overflow)
-	}
-	for i := range walk.List.Offsets {
-		if slab.List.Offsets[i] != walk.List.Offsets[i] {
-			t.Fatalf("Offsets[%d] = %d, walk has %d", i, slab.List.Offsets[i], walk.List.Offsets[i])
-		}
-	}
-	for k := range walk.List.Idx {
-		if slab.List.Idx[k] != walk.List.Idx[k] {
-			t.Fatalf("truncated Idx[%d] = %d, walk has %d", k, slab.List.Idx[k], walk.List.Idx[k])
-		}
-	}
-}
-
-// TestCellSlabCheckpointMidIntervalResume: the skin checkpoint contract
-// must survive with the slab gather on — candidates are regenerated from
-// the reference snapshot by the walk, which is valid precisely because the
-// two gathers are bit-identical.
+// TestCellSlabCheckpointMidIntervalResume: a checkpoint taken between two
+// SFC reorders must resume bit-identically — same reorder steps, same
+// lists, same trajectory — because the reorder clock is checkpointed and
+// the neighbor list is rebuilt from the particles on every step.
 func TestCellSlabCheckpointMidIntervalResume(t *testing.T) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(16))
 	opt.NgTarget = 32
 	opt.ReorderEvery = 3
-	opt.CellSlab = true
 
 	orig := sph.NewState(p, opt)
 	const pre, post = 8, 5
 	for s := 0; s < pre; s++ {
 		orig.RunStep(nil)
 	}
-	if orig.NbrStats.GatherSeconds == 0 {
-		t.Fatalf("slab gather never engaged during warm-up (stats %+v)", orig.NbrStats)
+	if !orig.SweptLastGather() {
+		t.Fatal("slab sweep not engaged at the checkpoint")
 	}
-	if orig.List == nil {
-		t.Fatal("no neighbor list after warm-up")
-	}
-	if orig.List.BuildStep >= orig.Step {
-		t.Fatalf("checkpoint is not mid-interval: BuildStep %d, Step %d",
-			orig.List.BuildStep, orig.Step)
+	if since := orig.Step - orig.LastReorderStep; since == 0 || since >= opt.ReorderEvery {
+		t.Fatalf("checkpoint is not mid-interval: step %d, last reorder %d", orig.Step, orig.LastReorderStep)
 	}
 
 	var buf bytes.Buffer
@@ -281,27 +267,30 @@ func TestCellSlabCheckpointMidIntervalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.List == nil || resumed.List.BuildStep != orig.List.BuildStep {
-		t.Fatal("restored state lost the skin reference snapshot")
+	if resumed.LastReorderStep != orig.LastReorderStep {
+		t.Fatalf("reorder clock %d, want %d", resumed.LastReorderStep, orig.LastReorderStep)
 	}
-
-	origBase, resumedBase := orig.NbrStats, resumed.NbrStats
 	for s := 0; s < post; s++ {
 		orig.RunStep(nil)
 		resumed.RunStep(nil)
-		po, pr := orig.P, resumed.P
-		for i := 0; i < po.N; i++ {
-			if po.X[i] != pr.X[i] || po.VX[i] != pr.VX[i] || po.H[i] != pr.H[i] || po.NC[i] != pr.NC[i] {
-				t.Fatalf("step %d: particle %d diverged after resume", orig.Step, i)
-			}
-		}
-		if orig.Dt != resumed.Dt {
-			t.Fatalf("step %d: dt diverged: %.17g vs %.17g", orig.Step, orig.Dt, resumed.Dt)
+		assertBitIdentical(t, orig, resumed)
+	}
+}
+
+// assertBitIdentical fails unless two states hold the same trajectory
+// down to the last bit.
+func assertBitIdentical(t *testing.T, a, b *sph.State) {
+	t.Helper()
+	pa, pb := a.P, b.P
+	for i := 0; i < pa.N; i++ {
+		if pa.X[i] != pb.X[i] || pa.VX[i] != pb.VX[i] || pa.U[i] != pb.U[i] ||
+			pa.H[i] != pb.H[i] || pa.NC[i] != pb.NC[i] ||
+			math.Float64bits(pa.AX[i]) != math.Float64bits(pb.AX[i]) {
+			t.Fatalf("step %d: particle %d diverged", a.Step, i)
 		}
 	}
-	dOrig := orig.NbrStats.Rebuilds - origBase.Rebuilds
-	dRes := resumed.NbrStats.Rebuilds - resumedBase.Rebuilds
-	if dOrig != dRes {
-		t.Fatalf("rebuild schedules diverged after resume: %d vs %d over %d steps", dOrig, dRes, post)
+	if a.Dt != b.Dt || a.Time != b.Time || a.LastReorderStep != b.LastReorderStep {
+		t.Fatalf("step %d: clocks diverged: dt %.17g vs %.17g, reorder %d vs %d",
+			a.Step, a.Dt, b.Dt, a.LastReorderStep, b.LastReorderStep)
 	}
 }

@@ -21,12 +21,13 @@ import (
 // Version history:
 //
 //	1 — particles + integrator clock
-//	2 — appends the SFC reorder clock and the Verlet-skin reference
-//	    snapshot (positions + smoothing lengths the candidate list was
-//	    built from), so restarted runs replay the same rebuild/reorder
-//	    steps bit-identically. The candidate indices themselves are a pure
-//	    function of the snapshot and are regenerated on restore. Version-1
-//	    files still load.
+//	2 — appends the SFC reorder clock, so restarted runs replay the same
+//	    reorder steps bit-identically, and a flag byte followed, when set,
+//	    by a neighbor-list reference snapshot (build step, positions and
+//	    smoothing lengths). The snapshot only pinned the rebuild steps of
+//	    a since-removed Verlet-skin list; every step now rebuilds the
+//	    list, so the writer emits the flag as 0 and the reader skips a
+//	    snapshot it finds. Version-1 files still load.
 const (
 	checkpointMagic   = "SPHX"
 	checkpointVersion = 2
@@ -77,21 +78,9 @@ func (s *State) WriteCheckpoint(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, int64(s.LastReorderStep)); err != nil {
 		return fmt.Errorf("sph: checkpoint: %w", err)
 	}
-	hasSkin := uint8(0)
-	if s.List != nil && s.List.refsOK {
-		hasSkin = 1
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hasSkin); err != nil {
+	// No neighbor-list reference snapshot (see the version history).
+	if err := binary.Write(bw, binary.LittleEndian, uint8(0)); err != nil {
 		return fmt.Errorf("sph: checkpoint: %w", err)
-	}
-	if hasSkin == 1 {
-		nl := s.List
-		skin := []interface{}{int64(nl.BuildStep), nl.RefX, nl.RefY, nl.RefZ, nl.RefH}
-		for _, v := range skin {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return fmt.Errorf("sph: checkpoint: %w", err)
-			}
-		}
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("sph: checkpoint: %w", err)
@@ -176,25 +165,15 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 			return nil, fmt.Errorf("sph: checkpoint: %w", err)
 		}
 		if hasSkin == 1 {
-			nl := &NeighborList{Ngmax: opt.ngmax()}
-			var buildStep int64
-			if err := binary.Read(br, binary.LittleEndian, &buildStep); err != nil {
+			// Skip the build step and the four per-particle snapshot
+			// arrays; they carry nothing a rebuild-every-step list needs.
+			skip := int64(8 + 4*8*n)
+			if int64(br.Len()) < skip {
+				return nil, fmt.Errorf("sph: checkpoint: truncated neighbor-list snapshot")
+			}
+			if _, err := br.Seek(skip, io.SeekCurrent); err != nil {
 				return nil, fmt.Errorf("sph: checkpoint: %w", err)
 			}
-			nl.BuildStep = int(buildStep)
-			nl.RefX = make([]float64, n)
-			nl.RefY = make([]float64, n)
-			nl.RefZ = make([]float64, n)
-			nl.RefH = make([]float64, n)
-			for _, f := range [][]float64{nl.RefX, nl.RefY, nl.RefZ, nl.RefH} {
-				if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-					return nil, fmt.Errorf("sph: checkpoint: %w", err)
-				}
-			}
-			// The candidate CSR is regenerated from the snapshot on the
-			// next FindNeighbors; until then only the references are valid.
-			nl.refsOK = true
-			st.List = nl
 		}
 	} else if k := opt.ReorderEvery; k > 0 && st.Step > 0 {
 		// Version-1 files predate the reorder clock; pre-PR runs reordered

@@ -116,7 +116,9 @@ func comparePipelines(t *testing.T, mkState func() *sph.State, steps int, withGr
 // TestNeighborListMatchesWalkTurbulence checks the equivalence on the
 // periodic subsonic-turbulence setup over several steps. The two pipelines
 // integrate the same pair sets in near-identical floating-point order, so
-// the tolerance is far below any physical scale.
+// the tolerance is far below any physical scale. At 10³ the grid has fewer
+// than 4 cells per axis, so the candidates come from the per-row gather
+// fallback; TestCellSlabMatchesClosureWalkTurbulence covers the sweep.
 func TestNeighborListMatchesWalkTurbulence(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(10))
@@ -128,8 +130,8 @@ func TestNeighborListMatchesWalkTurbulence(t *testing.T) {
 
 // TestNeighborListMatchesWalkEvrard checks the equivalence on the
 // non-periodic, gravity-coupled Evrard collapse, which has strong
-// smoothing-length contrasts and therefore exercises the asymmetric-pair
-// (Ext) segments of the list.
+// smoothing-length contrasts and therefore exercises the one-way pairs of
+// the folded list (inside one endpoint's support only).
 func TestNeighborListMatchesWalkEvrard(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Evrard(initcond.DefaultEvrard(10))

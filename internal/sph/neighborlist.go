@@ -2,52 +2,43 @@ package sph
 
 import (
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"sphenergy/internal/par"
 )
 
 // hGrowthCap bounds per-step smoothing-length growth (the 1.3 clamp of the
 // h update). The neighbor grid and the candidate-gather radius are sized
-// for it, so one traversal covers both the old-h neighbor count and the
+// for it, so one gather covers both the old-h neighbor count and the
 // post-update support.
 const hGrowthCap = 1.3
 
-// NeighborList is the persistent per-step neighbor structure of the SPH
-// pipeline, SPH-EXA style: FindNeighbors builds it in a single traversal of
-// the search grid, and XMass, NormalizationGradh, IADVelocityDivCurl and
-// MomentumEnergy stream over the flat slices instead of re-traversing the
-// grid with a per-neighbor callback.
+// NeighborList is the per-step neighbor structure of the SPH pipeline,
+// rebuilt by every FindNeighbors in three streaming phases:
+//
+//  1. Gather: neighbors.SlabSweep emits the candidate CSR — every j within
+//     2·hGrowthCap·h_old of i, with its squared distance — visiting each
+//     unordered pair once (grids the sweep cannot take are gathered by
+//     per-row walk queries, which emit the identical CSR).
+//  2. Filter: two passes over the candidate r² count the neighbors at
+//     2·h_old, update h, size each row at 2·h_new capped at Ngmax, and —
+//     after a prefix sum — fill Offsets/Idx/Dist in place.
+//  3. Fold: buildPairs folds the rows into the symmetric pair list the
+//     XMass, NormalizationGradh, IADVelocityDivCurl and MomentumEnergy
+//     passes stream over.
+//
+// Candidate order equals the closure walk's grid traversal order, so the
+// rows, the first-Ngmax truncation and the stored distances are
+// bit-identical to a per-row walk over the same grid.
 type NeighborList struct {
 	// Offsets has length N+1; the neighbors of particle i — every j != i
-	// with |x_i - x_j| < 2*h_i after the step's smoothing-length update —
-	// occupy entries [Offsets[i], Offsets[i+1]) of Idx, Dx, Dy, Dz and
-	// Dist. Dx/Dy/Dz hold the minimum-image displacement x_i - x_j, Dist
-	// its norm. Entries appear in grid traversal order, which the CSR cell
-	// grid makes deterministic.
+	// with |x_i - x_j| < 2*h_i after the step's smoothing-length update,
+	// the first Ngmax of them in candidate order — occupy entries
+	// [Offsets[i], Offsets[i+1]) of Idx and Dist. Dist holds the
+	// minimum-image distance.
 	Offsets []int32
 	Idx     []int32
-	Dx      []float64
-	Dy      []float64
-	Dz      []float64
 	Dist    []float64
-
-	// Ext* is the asymmetric-support complement consumed by
-	// MomentumEnergy: pairs with 2*h_i <= dist < 2*h_j, where j's kernel
-	// support covers i but not vice versa. Layout mirrors the main list;
-	// displacements are already expressed from i's side (x_i - x_j), and
-	// each per-particle segment is sorted by neighbor index so the
-	// momentum sum order is deterministic. Built by transposing the main
-	// list, so arbitrary smoothing-length contrasts are covered without
-	// widening any gather radius.
-	ExtOffsets []int32
-	ExtIdx     []int32
-	ExtDx      []float64
-	ExtDy      []float64
-	ExtDz      []float64
-	ExtDist    []float64
 
 	// Ngmax is the per-particle capacity cap (SPH-EXA's ngmax); Overflow
 	// counts how many particles had their neighbor set truncated at the
@@ -55,35 +46,24 @@ type NeighborList struct {
 	Ngmax    int
 	Overflow int
 
-	// Verlet-skin candidate cache: CandOffsets/CandIdx hold, in the same
-	// CSR layout as the main list, every particle within the inflated
-	// radius (1+Skin)·2·1.3·refH_i of particle i at the positions the list
-	// was last built from. Refresh steps recompute displacements for these
-	// pairs only. RefX/RefY/RefZ/RefH snapshot the build-time positions and
-	// (pre-update) smoothing lengths that drift is measured against, and
-	// BuildStep the step the build ran on. The candidate arrays are a pure
-	// function of the references, so checkpoints persist only the
-	// references and restarts regenerate CandIdx bit-identically.
+	// CandOffsets/CandIdx are the step's gathered candidate CSR in the
+	// same layout as the main list, and candR2 their squared distances;
+	// the filter reads them and the next build reuses the buffers.
 	CandOffsets []int32
 	CandIdx     []int32
-	RefX        []float64
-	RefY        []float64
-	RefZ        []float64
-	RefH        []float64
-	BuildStep   int
+	candR2      []float64
 
-	// Pair* is the folded symmetric pair list (Options.SymmetricPairs):
-	// every unordered interacting pair {a, b} appears exactly once, in the
-	// segment [PairOffsets[a], PairOffsets[a+1]) of the endpoint a that
-	// owns it — the smaller index when both directed edges exist, the only
-	// endpoint whose support covers the pair otherwise. PairIdx holds the
-	// other endpoint, PairDx/Dy/Dz the owner-side displacement
-	// x_owner - x_other (copied from the owner's main segment, so the
-	// arithmetic matches the asymmetric passes bit for bit), and PairBoth
-	// is 1 when the reverse directed edge also exists in the main list.
-	// Records inherit the owner's CSR order, so the scatter targets of
-	// consecutive pairs stay cache-adjacent under SFC ordering. Built by
-	// buildPairs; replaces the Ext transpose in symmetric mode.
+	// Pair* is the folded symmetric pair list: every unordered interacting
+	// pair {a, b} appears exactly once, in the segment
+	// [PairOffsets[a], PairOffsets[a+1]) of the endpoint a that owns it —
+	// the smaller index when both directed edges exist, the only endpoint
+	// whose support covers the pair otherwise. PairIdx holds the other
+	// endpoint, PairDx/Dy/Dz the owner-side minimum-image displacement
+	// x_owner - x_other (the walk's arithmetic, bit for bit), PairDist the
+	// distance, and PairBoth is 1 when the reverse directed edge also
+	// exists in the main list. Records inherit the owner's row order, so
+	// the scatter targets of consecutive pairs stay cache-adjacent under
+	// SFC ordering.
 	PairOffsets []int32
 	PairIdx     []int32
 	PairBoth    []uint8
@@ -92,11 +72,6 @@ type NeighborList struct {
 	PairDz      []float64
 	PairDist    []float64
 
-	refsOK  bool // reference snapshot is valid
-	candsOK bool // candidate CSR matches the reference snapshot
-	pairsOK bool // folded pair list matches the current main list
-
-	extCnt   []int32 // scratch: per-particle extras count, then fill cursor
 	pairCnt  []int32 // scratch: per-owner folded pair count
 	pairDisp []uint8 // scratch: per-edge pair disposition
 }
@@ -104,73 +79,6 @@ type NeighborList struct {
 // Count returns the stored neighbor count of particle i.
 func (nl *NeighborList) Count(i int) int {
 	return int(nl.Offsets[i+1] - nl.Offsets[i])
-}
-
-// listChunk is the worker-local gather buffer of one contiguous particle
-// range; after the parallel gather the chunks are concatenated in range
-// order, so the merged list is identical to a serial build.
-type listChunk struct {
-	lo       int
-	counts   []int32
-	idx      []int32
-	dx       []float64
-	dy       []float64
-	dz       []float64
-	dist     []float64
-	overflow int
-
-	// Skin builds additionally capture the inflated-radius candidate set.
-	cand       []int32
-	candCounts []int32
-}
-
-var listChunkPool = sync.Pool{New: func() interface{} { return new(listChunk) }}
-
-// extend grows the chunk's list arrays to capacity n (contents preserved),
-// letting a caller that knows a row's admission bound write through cursors
-// instead of per-element appends.
-func (cb *listChunk) extend(n int) {
-	// The arrays grow through different paths (appends round capacity to
-	// byte size classes, so int32 and float64 slices of equal length can
-	// diverge in capacity); every one is checked, not just idx.
-	if cap(cb.idx) >= n && cap(cb.dx) >= n && cap(cb.dy) >= n &&
-		cap(cb.dz) >= n && cap(cb.dist) >= n {
-		return
-	}
-	// Amortized geometric growth: extend is called once per row with a
-	// monotonically growing bound, so exact-fit allocation would recopy the
-	// accumulated prefix once per row — quadratic on a cold chunk.
-	if c := 2*cap(cb.idx) + 64; n < c {
-		n = c
-	}
-	idx := make([]int32, len(cb.idx), n)
-	copy(idx, cb.idx)
-	cb.idx = idx
-	dx := make([]float64, len(cb.dx), n)
-	copy(dx, cb.dx)
-	cb.dx = dx
-	dy := make([]float64, len(cb.dy), n)
-	copy(dy, cb.dy)
-	cb.dy = dy
-	dz := make([]float64, len(cb.dz), n)
-	copy(dz, cb.dz)
-	cb.dz = dz
-	dist := make([]float64, len(cb.dist), n)
-	copy(dist, cb.dist)
-	cb.dist = dist
-}
-
-func (cb *listChunk) reset(lo int) {
-	cb.lo = lo
-	cb.counts = cb.counts[:0]
-	cb.idx = cb.idx[:0]
-	cb.dx = cb.dx[:0]
-	cb.dy = cb.dy[:0]
-	cb.dz = cb.dz[:0]
-	cb.dist = cb.dist[:0]
-	cb.overflow = 0
-	cb.cand = cb.cand[:0]
-	cb.candCounts = cb.candCounts[:0]
 }
 
 func ensureInt32(s []int32, n int) []int32 {
@@ -212,255 +120,141 @@ func updateH(h float64, n int, ng, maxH float64) float64 {
 	return nh
 }
 
-// buildNeighborList performs the per-step neighbor search in one traversal
-// of the search structure: each particle's candidates are gathered out to
-// the maximum post-update support 2*hGrowthCap*h_old, the old-h count
-// drives the smoothing-length update (recorded in NC, matching the
-// closure-walk pipeline), and the survivors within the new 2*h — capped at
-// Ngmax — are compacted in place and merged into the CSR list. Returns the
-// post-update maximum smoothing length, folded as a reduction so no extra
-// O(n) scan is needed.
+// countWithin counts the entries of row with math.Sqrt(r2) < bound, the
+// walk's admission test on the stored distance, without taking square
+// roots: away from the rounding band around bound², r2 < bound² decides
+// it (see admit).
+func countWithin(row []float64, bound float64) int {
+	b2 := bound * bound
+	band := b2 * 0x1p-38
+	n := 0
+	for _, r2 := range row {
+		n += admit(r2, bound, b2, band)
+	}
+	return n
+}
+
+// admit returns 1 when math.Sqrt(r2) < bound and 0 otherwise, given b2 =
+// bound² and band = b2·2⁻³⁸. Outside the band r2 < b2 gives the same
+// answer: r2 - b2 is exact there (Sterbenz) and a 2⁻³⁸ relative margin
+// dwarfs the half-ulp errors of b2 and of the rounded root. Written as a
+// flag rather than a branch because about half of all candidates are
+// admitted, which no branch predictor guesses; the band branch is almost
+// never taken.
+func admit(r2, bound, b2, band float64) int {
+	in := 0
+	if r2 < b2 {
+		in = 1
+	}
+	if math.Abs(r2-b2) < band {
+		in = 0
+		if math.Sqrt(r2) < bound {
+			in = 1
+		}
+	}
+	return in
+}
+
+// buildNeighborList rebuilds the neighbor list from scratch: gather the
+// candidates at the maximum post-update support 2·hGrowthCap·h_old, filter
+// them into the rows (updating h and NC on the way, matching the
+// closure-walk pipeline), then fold the rows into the pair list. Returns
+// the post-update maximum smoothing length, folded as a reduction so no
+// extra O(n) scan is needed.
 func (s *State) buildNeighborList(maxH float64) float64 {
 	p := s.P
 	n := p.N
-	if s.List == nil {
-		s.List = &NeighborList{}
+	if s.nl == nil {
+		s.nl = &NeighborList{}
 	}
-	nl := s.List
+	nl := s.nl
+	s.List = nl
 	nl.Ngmax = s.Opt.ngmax()
-	ng := float64(s.Opt.NgTarget)
 
-	if s.Opt.CellSlab {
-		if newMax, ok := s.buildListSlab(maxH); ok {
-			nl.refsOK, nl.candsOK = false, false
-			s.buildDerived()
-			return newMax
-		}
+	t0 := time.Now()
+	s.cuts = ensureF64(s.cuts, n)
+	for i := 0; i < n; i++ {
+		s.cuts[i] = 2 * hGrowthCap * p.H[i]
 	}
-
-	var mu sync.Mutex
-	chunks := make([]*listChunk, 0, par.MaxWorkers())
-	newMax := par.Reduce(n, func(lo, hi int) float64 {
-		cb := listChunkPool.Get().(*listChunk)
-		cb.reset(lo)
-		localMax := 0.0
-		for i := lo; i < hi; i++ {
-			hOld := p.H[i]
-			start := len(cb.idx)
-			s.Grid.ForEachNeighbor(i, 2*hGrowthCap*hOld, func(j int, dx, dy, dz, dist float64) {
-				cb.idx = append(cb.idx, int32(j))
-				cb.dx = append(cb.dx, dx)
-				cb.dy = append(cb.dy, dy)
-				cb.dz = append(cb.dz, dz)
-				cb.dist = append(cb.dist, dist)
-			})
-			if h := finishParticle(p, cb, i, start, nl.Ngmax, hOld, ng, maxH); h > localMax {
-				localMax = h
-			}
-		}
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
-		return localMax
-	}, math.Max)
-
-	nl.mergeChunks(chunks, n, false)
-	nl.refsOK, nl.candsOK = false, false
-	s.buildDerived()
+	nl.CandOffsets, nl.CandIdx, nl.candR2, _ = s.slab.Gather(s.Grid, s.cuts, nl.CandOffsets, nl.CandIdx, nl.candR2)
+	t1 := time.Now()
+	newMax := s.filterCandidates(maxH)
+	s.NbrStats.GatherSeconds += t1.Sub(t0).Seconds()
+	s.NbrStats.FilterSeconds += time.Since(t1).Seconds()
+	s.buildPairs()
 	return newMax
 }
 
-// finishParticle turns particle i's gathered entries — chunk positions
-// [start, len) — into its final neighbor segment: the old-h count drives the
-// smoothing-length update (recorded in NC, matching the closure-walk
-// pipeline), and the survivors within the new 2*h — capped at ngmax — are
-// compacted in place. Returns the updated smoothing length. Shared verbatim
-// by the every-step build, the skin rebuild and the skin refresh so all
-// three produce bit-identical lists from the same gathered pairs.
-func finishParticle(p *Particles, cb *listChunk, i, start, ngmax int, hOld, ng, maxH float64) float64 {
-	cnt := 0
-	for k := start; k < len(cb.dist); k++ {
-		if cb.dist[k] < 2*hOld {
-			cnt++
-		}
-	}
-	p.NC[i] = int32(cnt)
-	h := updateH(hOld, cnt, ng, maxH)
-	p.H[i] = h
-	r := 2 * h
-	w := start
-	for k := start; k < len(cb.idx); k++ {
-		if cb.dist[k] >= r {
-			continue
-		}
-		if w-start >= ngmax {
-			cb.overflow++
-			break
-		}
-		cb.idx[w] = cb.idx[k]
-		cb.dx[w] = cb.dx[k]
-		cb.dy[w] = cb.dy[k]
-		cb.dz[w] = cb.dz[k]
-		cb.dist[w] = cb.dist[k]
-		w++
-	}
-	cb.idx = cb.idx[:w]
-	cb.dx = cb.dx[:w]
-	cb.dy = cb.dy[:w]
-	cb.dz = cb.dz[:w]
-	cb.dist = cb.dist[:w]
-	cb.counts = append(cb.counts, int32(w-start))
-	return h
-}
-
-// mergeChunks concatenates the worker chunk buffers in range order into the
-// CSR arrays. Each worker owned a contiguous particle range, so its buffer
-// is a contiguous segment of the final arrays and the merged list is
-// identical to a serial build. withCands additionally merges the captured
-// candidate segments of a skin build.
-func (nl *NeighborList) mergeChunks(chunks []*listChunk, n int, withCands bool) {
-	nl.pairsOK = false // main list changes; buildDerived re-folds it
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
-	nl.Offsets = ensureInt32(nl.Offsets, n+1)
-	if withCands {
-		nl.CandOffsets = ensureInt32(nl.CandOffsets, n+1)
-	}
-	off, candOff := int32(0), int32(0)
-	nl.Overflow = 0
-	for _, cb := range chunks {
-		for t, c := range cb.counts {
-			nl.Offsets[cb.lo+t] = off
-			off += c
-		}
-		if withCands {
-			for t, c := range cb.candCounts {
-				nl.CandOffsets[cb.lo+t] = candOff
-				candOff += c
-			}
-		}
-		nl.Overflow += cb.overflow
-	}
-	nl.Offsets[n] = off
-	if withCands {
-		nl.CandOffsets[n] = candOff
-	}
-	// Single-chunk fast path: one worker owned the whole particle range, so
-	// its buffer already IS the finished list — swap the backing arrays
-	// instead of copying them. The chunk inherits the list's previous
-	// arrays, so the pool's steady-state capacity is preserved.
-	if len(chunks) == 1 && chunks[0].lo == 0 {
-		cb := chunks[0]
-		nl.Overflow = cb.overflow
-		nl.Idx, cb.idx = cb.idx, nl.Idx[:0]
-		nl.Dx, cb.dx = cb.dx, nl.Dx[:0]
-		nl.Dy, cb.dy = cb.dy, nl.Dy[:0]
-		nl.Dz, cb.dz = cb.dz, nl.Dz[:0]
-		nl.Dist, cb.dist = cb.dist, nl.Dist[:0]
-		if withCands {
-			nl.CandIdx, cb.cand = cb.cand, nl.CandIdx[:0]
-		}
-		listChunkPool.Put(cb)
-		return
-	}
-	total := int(off)
-	nl.Idx = ensureInt32(nl.Idx, total)
-	nl.Dx = ensureF64(nl.Dx, total)
-	nl.Dy = ensureF64(nl.Dy, total)
-	nl.Dz = ensureF64(nl.Dz, total)
-	nl.Dist = ensureF64(nl.Dist, total)
-	if withCands {
-		nl.CandIdx = ensureInt32(nl.CandIdx, int(candOff))
-	}
-	for _, cb := range chunks {
-		at := nl.Offsets[cb.lo]
-		copy(nl.Idx[at:], cb.idx)
-		copy(nl.Dx[at:], cb.dx)
-		copy(nl.Dy[at:], cb.dy)
-		copy(nl.Dz[at:], cb.dz)
-		copy(nl.Dist[at:], cb.dist)
-		if withCands {
-			copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand)
-		}
-		listChunkPool.Put(cb)
-	}
-}
-
-// buildDerived derives the per-step secondary pair structure from the
-// freshly merged main list: the folded symmetric pair list when
-// Options.SymmetricPairs is set, the Ext transpose otherwise. Exactly one
-// of the two is live at a time; the passes dispatch on the same option.
-func (s *State) buildDerived() {
-	if s.Opt.SymmetricPairs {
-		s.buildPairs()
-		return
-	}
-	s.buildExtras()
-}
-
-// buildExtras derives the asymmetric-support segments by transposing the
-// main list: an entry (j -> i) with dist >= 2*h_i marks a pair that i's own
-// support misses but j's covers, which MomentumEnergy must still integrate
-// from i's side. All smoothing lengths are final before this runs.
-func (s *State) buildExtras() {
+// filterCandidates turns the gathered candidate CSR into the main rows in
+// two passes over the candidate r², writing straight into Offsets, Idx
+// and Dist. The first pass counts each particle's neighbors at 2·h_old
+// (recorded in NC), applies the smoothing-length update and counts the
+// candidates inside the new support 2·h; a serial prefix sum caps every
+// row at Ngmax and lays out the offsets; the second pass fills each row
+// with its first admitted candidates in candidate order. Returns the
+// post-update maximum smoothing length.
+func (s *State) filterCandidates(maxH float64) float64 {
 	p := s.P
 	n := p.N
-	nl := s.List
-	nl.extCnt = ensureInt32(nl.extCnt, n)
-	for i := range nl.extCnt {
-		nl.extCnt[i] = 0
-	}
-	par.ForChunked(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for k := nl.Offsets[j]; k < nl.Offsets[j+1]; k++ {
-				i := nl.Idx[k]
-				if nl.Dist[k] >= 2*p.H[i] {
-					atomic.AddInt32(&nl.extCnt[i], 1)
-				}
+	nl := s.nl
+	ng := float64(s.Opt.NgTarget)
+	cOff, cIdx, cR2 := nl.CandOffsets, nl.CandIdx, nl.candR2
+	nl.Offsets = ensureInt32(nl.Offsets, n+1)
+	off := nl.Offsets
+
+	newMax := par.Reduce(n, func(lo, hi int) float64 {
+		localMax := 0.0
+		for i := lo; i < hi; i++ {
+			row := cR2[cOff[i]:cOff[i+1]]
+			hOld := p.H[i]
+			cnt := countWithin(row, 2*hOld)
+			p.NC[i] = int32(cnt)
+			h := updateH(hOld, cnt, ng, maxH)
+			p.H[i] = h
+			off[i+1] = int32(countWithin(row, 2*h)) // row length before the cap; the prefix sum caps it
+			if h > localMax {
+				localMax = h
 			}
 		}
-	})
-	nl.ExtOffsets = ensureInt32(nl.ExtOffsets, n+1)
-	off := int32(0)
+		return localMax
+	}, math.Max)
+
+	ngmax := int32(nl.Ngmax)
+	nl.Overflow = 0
+	off[0] = 0
 	for i := 0; i < n; i++ {
-		nl.ExtOffsets[i] = off
-		off += nl.extCnt[i]
-		nl.extCnt[i] = nl.ExtOffsets[i] // becomes the fill cursor
+		m := off[i+1]
+		if m > ngmax {
+			m = ngmax
+			nl.Overflow++
+		}
+		off[i+1] = off[i] + m
 	}
-	nl.ExtOffsets[n] = off
-	total := int(off)
-	nl.ExtIdx = ensureInt32(nl.ExtIdx, total)
-	nl.ExtDx = ensureF64(nl.ExtDx, total)
-	nl.ExtDy = ensureF64(nl.ExtDy, total)
-	nl.ExtDz = ensureF64(nl.ExtDz, total)
-	nl.ExtDist = ensureF64(nl.ExtDist, total)
+
+	nl.Idx = ensureInt32(nl.Idx, int(off[n]))
+	nl.Dist = ensureF64(nl.Dist, int(off[n]))
+	idx, dist := nl.Idx, nl.Dist
 	par.ForChunked(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for k := nl.Offsets[j]; k < nl.Offsets[j+1]; k++ {
-				i := nl.Idx[k]
-				if nl.Dist[k] >= 2*p.H[i] {
-					pos := atomic.AddInt32(&nl.extCnt[i], 1) - 1
-					nl.ExtIdx[pos] = int32(j)
-					// The stored displacement is x_j - x_i; flip to i's view.
-					nl.ExtDx[pos] = -nl.Dx[k]
-					nl.ExtDy[pos] = -nl.Dy[k]
-					nl.ExtDz[pos] = -nl.Dz[k]
-					nl.ExtDist[pos] = nl.Dist[k]
+		for i := lo; i < hi; i++ {
+			w, end := off[i], off[i+1]
+			bound := 2 * p.H[i]
+			b2 := bound * bound
+			band := b2 * 0x1p-38
+			cand := cIdx[cOff[i]:cOff[i+1]]
+			row := cR2[cOff[i] : cOff[i]+int32(len(cand))]
+			// Every candidate is written at the cursor, which advances
+			// only past admitted ones: a rejected entry is overwritten by
+			// the next admitted one, and the loop stops once the row is
+			// full, so nothing is written past its end.
+			for k, r2 := range row {
+				if w == end {
+					break
 				}
+				idx[w] = cand[k]
+				dist[w] = math.Sqrt(r2)
+				w += int32(admit(r2, bound, b2, band))
 			}
 		}
 	})
-	// Concurrent fill order is scheduling-dependent; sort each (tiny)
-	// segment by neighbor index so the momentum sum order is deterministic.
-	par.For(n, func(i int) {
-		lo, hi := int(nl.ExtOffsets[i]), int(nl.ExtOffsets[i+1])
-		for a := lo + 1; a < hi; a++ {
-			for b := a; b > lo && nl.ExtIdx[b] < nl.ExtIdx[b-1]; b-- {
-				nl.ExtIdx[b], nl.ExtIdx[b-1] = nl.ExtIdx[b-1], nl.ExtIdx[b]
-				nl.ExtDx[b], nl.ExtDx[b-1] = nl.ExtDx[b-1], nl.ExtDx[b]
-				nl.ExtDy[b], nl.ExtDy[b-1] = nl.ExtDy[b-1], nl.ExtDy[b]
-				nl.ExtDz[b], nl.ExtDz[b-1] = nl.ExtDz[b-1], nl.ExtDz[b]
-				nl.ExtDist[b], nl.ExtDist[b-1] = nl.ExtDist[b-1], nl.ExtDist[b]
-			}
-		}
-	})
+	return newMax
 }

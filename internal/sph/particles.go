@@ -169,104 +169,27 @@ type Options struct {
 	AVBeta             float64 // beta = 2*alpha convention when fixed
 	AVDecayTime        float64 // tau multiplier for the alpha decay
 
-	// TreeSearch selects the octree-based neighbor search backend instead
-	// of the cell grid (both return identical neighbor sets).
-	TreeSearch bool
-	// TreeBucketSize is the octree leaf size when TreeSearch is on
-	// (default 64).
-	TreeBucketSize int
-
 	// NgMax caps the per-particle neighbor-list length (SPH-EXA's ngmax);
 	// particles whose support holds more neighbors are truncated and
 	// counted in State.List.Overflow. Zero selects 4×NgTarget (at least
 	// 192).
 	NgMax int
 
-	// ClosureWalk selects the legacy pipeline that re-traverses the
-	// neighbor search structure with a per-neighbor callback in every
-	// pass, instead of streaming over the per-step neighbor list. Kept as
-	// the reference baseline for equivalence tests and benchmarks.
-	//
-	// The pipeline modes, from reference to fastest, and what each
-	// guarantees relative to the previous one:
-	//
-	//   - ClosureWalk: the reference. Every pass walks the grid.
-	//   - default (neighbor list): streams over the flat CSR list;
-	//     physics equal to the walk within 1e-9 relative (identical pair
-	//     sets, kernel arithmetic reordered).
-	//   - + Skin > 0 (Verlet-skin reuse): refresh steps re-derive the list
-	//     from cached candidates, bit-identical to rebuilding every step;
-	//     Skin=0 or RebuildEvery=1 reproduce the plain list byte for byte.
-	//   - + SymmetricPairs: pair passes visit each pair once and scatter
-	//     to both endpoints; equal within 1e-9 (summation order differs),
-	//     deterministic for a fixed GOMAXPROCS.
-	//   - + CellSlab: the neighbor search itself switches to the cell-slab
-	//     half-stencil sweep, which produces bit-identical lists (same
-	//     pairs, same order) — the whole-pipeline output is unchanged down
-	//     to the last bit, it is only found faster.
-	//   - Float32Eval: quantizes kernel evaluation; documented as failing
-	//     the 1e-9 gate (~1e-7), kept as a recorded verdict.
+	// ClosureWalk selects the reference pipeline: every pass re-traverses
+	// the neighbor search grid with a per-neighbor callback instead of
+	// streaming over the per-step neighbor list. The default (false) is
+	// the production path: FindNeighbors gathers candidates with the
+	// cell-slab sweep, filters them into the neighbor list and folds that
+	// into symmetric pairs, rebuilt every step, and the pair passes visit
+	// each pair once, scattering to both endpoints. The two agree within
+	// 1e-9 relative (identical pair sets, summation order differs); the
+	// production path is deterministic for a fixed GOMAXPROCS.
 	ClosureWalk bool
-
-	// CellSlab switches the neighbor-list construction (plain builds and
-	// Verlet-skin candidate rebuilds) from per-particle grid walks to the
-	// cell-slab sweep with a folded half-sphere gather: the grid is
-	// traversed cell by cell, candidate cells stream through contiguous
-	// SoA slabs, and each unordered pair is evaluated once, emitting both
-	// CSR directions. The resulting lists are bit-identical to the walk's
-	// (same pair sets, same order), so every equivalence and checkpoint
-	// guarantee is unchanged; rebuild cost drops roughly 2x. Grids the
-	// sweep cannot handle (octree backend, fewer than 4 cells per axis,
-	// support radii wider than a cell) fall back to the walk per rebuild.
-	// NbrStats.GatherSeconds/FilterSeconds split the rebuild cost while
-	// the slab path is active.
-	CellSlab bool
 
 	// ReorderEvery makes RunStep reorder particles along the Morton SFC
 	// every K steps (0 disables), so neighbor-list indices keep pointing
-	// at cache-adjacent memory as particles mix. With Verlet-skin reuse
-	// active the cadence is keyed to the rebuild trigger: once K steps have
-	// passed, the reorder rides along with the next candidate rebuild
-	// (reordering invalidates the candidate cache anyway) and is forced at
-	// 2K so the memory layout cannot go permanently stale.
+	// at cache-adjacent memory as particles mix.
 	ReorderEvery int
-
-	// Skin is the Verlet-skin fraction of the neighbor search: FindNeighbors
-	// gathers candidates out to (1+Skin)·2·1.3·h and reuses that candidate
-	// list across steps, refreshing only the cached pair displacements,
-	// until accumulated particle drift (or smoothing-length growth) could
-	// let an unseen pair enter some support sphere. 0 disables reuse and is
-	// bit-identical to rebuilding every step; larger skins refresh cheaper
-	// lists less often but make every pass scan more candidates.
-	Skin float64
-
-	// RebuildEvery forces a candidate rebuild at least every K steps on top
-	// of the drift trigger (0 = drift-triggered only). 1 disables reuse
-	// entirely, reproducing the rebuild-every-step pipeline exactly.
-	RebuildEvery int
-
-	// SymmetricPairs folds the two directions of every neighbor pair into
-	// one record (Newton's third law): FindNeighbors derives a folded pair
-	// list from the main CSR, and the pair-interaction passes — XMass,
-	// NormalizationGradh, IADVelocityDivCurl, MomentumEnergy — visit each
-	// (i, j) pair once and scatter to both endpoints through per-worker
-	// private accumulators (par.Scatter). Results differ from the
-	// asymmetric list only in summation order (~1e-15 relative) and are
-	// deterministic for a fixed GOMAXPROCS. Must be chosen before the run's
-	// first FindNeighbors and left alone: the folded list replaces the Ext
-	// transpose, so flipping the flag mid-run leaves the other layout stale
-	// until the next FindNeighbors.
-	SymmetricPairs bool
-
-	// Float32Eval quantizes kernel evaluation on the symmetric path to
-	// float32 — float32 kernel tables and interpolation, pair displacements
-	// rounded through float32 — while keeping every accumulation in
-	// float64. Requires SymmetricPairs and a tabulated kernel (other
-	// kernels keep float64 evaluation). Verdict for the ROADMAP question:
-	// the quantization alone contributes ~1e-7 relative error, so this mode
-	// measurably fails the pipeline's 1e-9 equivalence gate; see
-	// TestFloat32EvalFailsEquivalenceGate.
-	Float32Eval bool
 
 	// CFL is the Courant factor for the timestep.
 	CFL float64
@@ -290,13 +213,6 @@ type Options struct {
 	// must invoke run exactly once. Used to attach pprof labels so CPU
 	// profile samples group per pass.
 	WrapPass func(pass string, run func())
-
-	// NeighborEvent, when non-nil, observes every FindNeighbors outcome in
-	// list mode with the step index and the trigger kind: "init", "cadence",
-	// "drift" or "overflow" for candidate rebuilds (matching the NbrStats
-	// cause counters) and "refresh" for a Verlet-skin refresh. Nil costs a
-	// single check; the closure-walk pipeline never fires it.
-	NeighborEvent func(step int, kind string)
 }
 
 // DefaultOptions returns the options used by the examples and tests.
@@ -314,7 +230,6 @@ func DefaultOptions(box sfc.Box) Options {
 		CFL:          0.3,
 		MaxDtGrowth:  1.1,
 		ReorderEvery: 32,
-		Skin:         0.3,
 		GravG:        1.0,
 		GravEps:      1e-3,
 		GravTheta:    0.5,
@@ -337,11 +252,11 @@ func (o Options) ngmax() int {
 type State struct {
 	P    *Particles
 	Opt  Options
-	Grid neighbors.Searcher
+	Grid *neighbors.Grid
 
 	// List is the per-step neighbor list built by FindNeighbors (nil in
-	// ClosureWalk mode or before the first FindNeighbors); its buffers are
-	// reused across steps.
+	// ClosureWalk mode, before the first FindNeighbors and after an SFC
+	// reorder); its buffers are reused across steps.
 	List *NeighborList
 
 	// MaxH caches the largest smoothing length after FindNeighbors; kernels
@@ -354,24 +269,20 @@ type State struct {
 
 	// LastReorderStep records the step of the last SFC reorder; RunStep keys
 	// the reorder cadence to it and it is checkpointed so restarted runs
-	// replay the same reorder (and therefore rebuild) steps.
+	// replay the same reorder steps.
 	LastReorderStep int
 
 	// NbrStats counts how FindNeighbors resolved each step (diagnostic
 	// only; not checkpointed).
 	NbrStats NeighborStats
 
-	gridBuf  *neighbors.Grid // reused cell-grid buffers across rebuilds
-	hBackup  []float64       // refresh-abort scratch: pre-update H
-	ncBackup []int32         // refresh-abort scratch: pre-update NC
+	gridBuf *neighbors.Grid // reused cell-grid buffers across rebuilds
+	nl      *NeighborList   // reused neighbor-list buffers; List points here when valid
 
-	// Cell-slab sweep scratch (Options.CellSlab): the sweep's reusable
-	// slab/spill buffers, the per-particle cut radii of the gather, and the
-	// gathered per-candidate squared distances (CSR-aligned with the
-	// candidate list; valid only within the build step that gathered them).
-	slab   neighbors.SlabSweep
-	cuts   []float64
-	candR2 []float64
+	// Cell-slab gather scratch: the sweep's reusable slab/spill buffers
+	// and the per-particle cut radii of the gather.
+	slab neighbors.SlabSweep
+	cuts []float64
 
 	// Symmetric-pair scratch, all reused across steps: the scatter-add
 	// accumulators, the per-particle precomputations the folded passes
@@ -386,27 +297,25 @@ type State struct {
 	symDwa, symDwb        []float64
 	symDsum               []float64
 	symCacheOK, symDsumOK bool
-	kern32, kern32base    kernel.Kernel // cached Float32Eval quantization
 }
 
-// NeighborStats breaks down FindNeighbors activity since the state was
-// created: how many steps rebuilt the Verlet-skin candidate list versus
-// refreshing the cached pairs, and what triggered each rebuild. With skin
-// reuse disabled every step counts as an init rebuild.
+// NeighborStats counts FindNeighbors activity since the state was created.
+// The production path rebuilds the neighbor list every step, so every list
+// build counts as an init rebuild: Rebuilds and RebuildInit advance
+// together, and Refreshes and the other cause counters stay 0. The
+// closure-walk reference builds no list and counts nothing.
 type NeighborStats struct {
-	Rebuilds  int // candidate-list builds (sum of the cause counters)
-	Refreshes int // steps served from the cached candidate list
+	Rebuilds  int // neighbor-list builds
+	Refreshes int // always 0: no list is reused across steps
 
-	RebuildInit     int // no valid list: first step, post-reorder, mode switch
-	RebuildCadence  int // Options.RebuildEvery interval expired
-	RebuildDrift    int // accumulated drift could hide an unseen pair
-	RebuildOverflow int // ngmax overflow during a refresh forced a rebuild
+	RebuildInit     int // every list build
+	RebuildCadence  int // always 0
+	RebuildDrift    int // always 0
+	RebuildOverflow int // always 0
 
-	// GatherSeconds/FilterSeconds split the rebuild cost of the cell-slab
-	// path (Options.CellSlab): wall-clock spent in the candidate sweep
-	// versus the candidate→list filter, cumulative over rebuild steps.
-	// The walk-based build interleaves the two phases per particle, so
-	// both stay zero outside slab mode.
+	// GatherSeconds/FilterSeconds split the list build: wall-clock spent
+	// in the candidate gather versus the candidate→list filter,
+	// cumulative over builds.
 	GatherSeconds float64
 	FilterSeconds float64
 }

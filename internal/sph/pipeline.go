@@ -7,72 +7,23 @@ import (
 	"sphenergy/internal/par"
 )
 
-// FindNeighbors rebuilds the neighbor search structure for the current
-// particle positions, adapts smoothing lengths toward the target neighbor
-// count using the standard n^(1/3) update, and — in the default list mode —
-// builds the persistent per-step NeighborList that the subsequent passes
-// stream over. With Options.ClosureWalk set, only neighbor counts and
-// smoothing lengths are updated and the passes re-traverse the grid.
+// FindNeighbors rebuilds the neighbor search grid for the current particle
+// positions, adapts smoothing lengths toward the target neighbor count
+// using the standard n^(1/3) update, and rebuilds the per-step
+// NeighborList — gather, filter, fold — that the subsequent passes stream
+// over. With Options.ClosureWalk set, only neighbor counts and smoothing
+// lengths are updated and the passes re-traverse the grid.
 func (s *State) FindNeighbors() {
-	p := s.P
-	maxH := p.MaxH()
+	maxH := s.P.MaxH()
+	s.Grid = s.buildGrid(maxH)
 	if s.Opt.ClosureWalk {
-		s.Grid = s.buildGrid(maxH)
 		s.List = nil
 		s.countAndUpdateH(maxH)
 		return
 	}
-	if !s.skinActive() {
-		s.Grid = s.buildGrid(maxH)
-		s.MaxH = s.buildNeighborList(maxH)
-		s.NbrStats.Rebuilds++
-		s.NbrStats.RebuildInit++
-		s.neighborEvent("init")
-		return
-	}
-	// Verlet-skin path: reuse the cached candidate list when it still
-	// covers every support sphere, rebuild otherwise.
-	nl := s.List
-	if nl == nil || !nl.refsOK {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildInit, "init")
-		return
-	}
-	if !nl.candsOK {
-		// Restored from checkpoint: regenerate the candidate CSR from the
-		// persisted reference snapshot before deciding anything.
-		s.regenCandidates()
-	}
-	if re := s.Opt.RebuildEvery; re > 0 && s.Step-nl.BuildStep >= re {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildCadence, "cadence")
-		return
-	}
-	if !s.skinValid(maxH) {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildDrift, "drift")
-		return
-	}
-	if newMax, ok := s.refreshSkin(maxH); ok {
-		s.NbrStats.Refreshes++
-		s.MaxH = newMax
-		s.neighborEvent("refresh")
-		return
-	}
-	s.rebuildWithSkin(maxH, &s.NbrStats.RebuildOverflow, "overflow")
-}
-
-// rebuildWithSkin runs a candidate rebuild and charges it to the given
-// cause counter.
-func (s *State) rebuildWithSkin(maxH float64, cause *int, kind string) {
-	s.MaxH = s.rebuildSkin(maxH)
+	s.MaxH = s.buildNeighborList(maxH)
 	s.NbrStats.Rebuilds++
-	*cause++
-	s.neighborEvent(kind)
-}
-
-// neighborEvent forwards a FindNeighbors outcome to the configured hook.
-func (s *State) neighborEvent(kind string) {
-	if s.Opt.NeighborEvent != nil {
-		s.Opt.NeighborEvent(s.Step, kind)
-	}
+	s.NbrStats.RebuildInit++
 }
 
 // countAndUpdateH is the closure-walk neighbor pass: count neighbors at the
@@ -97,43 +48,23 @@ func (s *State) countAndUpdateH(maxH float64) {
 	}, math.Max)
 }
 
-// buildGrid constructs the neighbor search structure for the given maximum
-// smoothing length, honoring the configured backend.
-func (s *State) buildGrid(maxH float64) neighbors.Searcher {
+// buildGrid rebuilds the cell grid for the given maximum smoothing length,
+// sized for the in-step h growth clamp. The grid reuses the state's
+// buffers, so steady-state rebuilds allocate nothing.
+func (s *State) buildGrid(maxH float64) *neighbors.Grid {
 	p := s.P
-	return s.buildSearcher(p.X, p.Y, p.Z, 2*maxH*hGrowthCap) // allow for the in-step h growth clamp
-}
-
-// buildSearcher constructs the neighbor search structure over the given
-// coordinate slices, honoring the configured backend. The cell-grid backend
-// reuses the state's grid buffers, so steady-state rebuilds allocate
-// nothing.
-func (s *State) buildSearcher(x, y, z []float64, radius float64) neighbors.Searcher {
-	if s.Opt.TreeSearch {
-		bucket := s.Opt.TreeBucketSize
-		if bucket <= 0 {
-			bucket = 64
-		}
-		return neighbors.BuildTree(s.Opt.Box, x, y, z, bucket)
-	}
+	radius := 2 * maxH * hGrowthCap
 	if radius <= 0 {
 		radius = s.Opt.Box.MinExtent() / 4
 	}
-	s.gridBuf = neighbors.BuildGridInto(s.gridBuf, s.Opt.Box, x, y, z, radius)
+	s.gridBuf = neighbors.BuildGridInto(s.gridBuf, s.Opt.Box, p.X, p.Y, p.Z, radius)
 	return s.gridBuf
 }
 
-// BuildGridFor constructs the neighbor search structure sized for the
-// current maximum interaction radius, honoring the configured backend.
-func BuildGridFor(s *State) neighbors.Searcher {
+// BuildGridFor constructs the neighbor search grid sized for the current
+// maximum interaction radius.
+func BuildGridFor(s *State) *neighbors.Grid {
 	return s.buildGrid(s.P.MaxH())
-}
-
-// useList reports whether the passes should stream over the per-step
-// neighbor list. Callers that set up Grid manually (without FindNeighbors)
-// fall back to the closure walk.
-func (s *State) useList() bool {
-	return !s.Opt.ClosureWalk && s.List != nil && len(s.List.Offsets) == s.P.N+1
 }
 
 // XMass computes the generalized volume-element normalization
@@ -154,10 +85,8 @@ func (s *State) XMass() {
 		}
 		p.XM[i] = xm
 	})
-	if s.useSym() {
+	if s.usePairs() {
 		s.xmassSym()
-	} else if s.useList() {
-		s.xmassList()
 	} else {
 		s.xmassWalk()
 	}
@@ -168,10 +97,8 @@ func (s *State) XMass() {
 // momentum and energy equations of the variable-smoothing-length
 // formulation. ("computeVeDefGradh" in SPH-EXA.)
 func (s *State) NormalizationGradh() {
-	if s.useSym() {
+	if s.usePairs() {
 		s.gradhSym()
-	} else if s.useList() {
-		s.gradhList()
 	} else {
 		s.gradhWalk()
 	}

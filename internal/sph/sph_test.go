@@ -356,28 +356,6 @@ func TestVolumeElementsExponent(t *testing.T) {
 	}
 }
 
-func TestTreeSearchBackendMatchesGrid(t *testing.T) {
-	// The full density pipeline produces identical results under both
-	// neighbor-search backends.
-	gridState := latticeState(8, t)
-	runDensityPipeline(gridState)
-
-	treeState := latticeState(8, t)
-	treeState.Opt.TreeSearch = true
-	runDensityPipeline(treeState)
-
-	for i := 0; i < gridState.P.N; i++ {
-		if math.Abs(gridState.P.Rho[i]-treeState.P.Rho[i]) > 1e-12 {
-			t.Fatalf("particle %d: grid rho %v != tree rho %v",
-				i, gridState.P.Rho[i], treeState.P.Rho[i])
-		}
-		if gridState.P.NC[i] != treeState.P.NC[i] {
-			t.Fatalf("particle %d: neighbor counts differ (%d vs %d)",
-				i, gridState.P.NC[i], treeState.P.NC[i])
-		}
-	}
-}
-
 func TestStepHelperMatchesManualPipeline(t *testing.T) {
 	manual := latticeState(6, t)
 	helper := latticeState(6, t)

@@ -7,15 +7,15 @@ import (
 	"sphenergy/internal/par"
 )
 
-// Symmetric (Newton's third law) pair path: the folded pair list visits
+// Symmetric (Newton's third law) pair passes: the folded pair list visits
 // every interacting pair exactly once, computes the shared per-pair terms —
 // distances, artificial viscosity, kernel derivatives at both smoothing
 // lengths — a single time, and scatters contributions to both endpoints
 // through par.Scatter's per-worker private accumulators. The pair set and
-// the per-contribution arithmetic reproduce the asymmetric list exactly
-// (including ngmax truncation and asymmetric-support Ext semantics), so the
-// only deviation from xmassList/gradhList/iadList/momentumList is float
-// summation order: ~1e-15 relative, deterministic for a fixed GOMAXPROCS.
+// the per-contribution arithmetic reproduce the per-particle closure walk
+// (including ngmax truncation and asymmetric-support pairs), so the only
+// deviation from walk.go is float summation order: ~1e-15 relative,
+// deterministic for a fixed GOMAXPROCS.
 
 // Pair-record dispositions written by the first buildPairs sweep, one byte
 // per directed main-list edge.
@@ -25,31 +25,11 @@ const (
 	pairTwo  = 2 // record owned here; mirror edge exists too (PairBoth=1)
 )
 
-// useSym reports whether the passes stream over the folded symmetric pair
-// list. buildDerived keeps it in lockstep with the main list whenever
-// SymmetricPairs is set, so after any FindNeighbors this is simply the
-// option; the pairsOK guard protects manually assembled states.
-func (s *State) useSym() bool {
-	return s.Opt.SymmetricPairs && s.useList() && s.List.pairsOK
-}
-
-// symKernel returns the kernel the symmetric passes evaluate: the
-// configured kernel, or its float32-quantized table when Float32Eval is
-// set. Non-tabulated kernels keep float64 evaluation — the flag answers a
-// question about tabulated evaluation precision.
-func (s *State) symKernel() kernel.Kernel {
-	if !s.Opt.Float32Eval {
-		return s.Opt.Kernel
-	}
-	if s.kern32 == nil || s.kern32base != s.Opt.Kernel {
-		if t, ok := s.Opt.Kernel.(*kernel.Table); ok {
-			s.kern32 = kernel.Quantize32(t)
-		} else {
-			s.kern32 = s.Opt.Kernel
-		}
-		s.kern32base = s.Opt.Kernel
-	}
-	return s.kern32
+// usePairs reports whether the passes stream over the folded pair list:
+// after any FindNeighbors outside ClosureWalk mode. Callers that set up
+// Grid manually (without FindNeighbors) fall back to the closure walk.
+func (s *State) usePairs() bool {
+	return !s.Opt.ClosureWalk && s.List != nil
 }
 
 // rowHas reports whether row j of the main list contains index i. Rows are
@@ -67,12 +47,14 @@ func (nl *NeighborList) rowHas(j int32, i int32) bool {
 // buildPairs folds the main CSR list into the symmetric pair list. For a
 // directed edge a→b the reverse edge b→a exists iff dist < 2·h_b and b's
 // row was not truncated: the h-growth clamp guarantees b's gather radius
-// 2·hGrowthCap·h_old_b covers 2·h_new_b (and the skin refresh re-admits
-// from a candidate set skinValid proved complete), so the only way a
-// sub-support pair can be missing from b's row is the ngmax cap — checked
-// by scanning the (full-length) row. Two parallel sweeps — disposition +
-// count, then fill — with a serial prefix sum in between; no atomics, no
-// per-segment sorts, deterministic output independent of worker count.
+// 2·hGrowthCap·h_old_b covers 2·h_new_b, so the only way a sub-support
+// pair can be missing from b's row is the ngmax cap — checked by scanning
+// the (full-length) row. Two parallel sweeps — disposition + count, then
+// fill — with a serial prefix sum in between; no atomics, no per-segment
+// sorts, deterministic output independent of worker count. The fill
+// recomputes each owned record's displacement from the positions with the
+// walk's minimum-image arithmetic, so the main list carries no
+// displacements.
 func (s *State) buildPairs() {
 	p := s.P
 	n := p.N
@@ -127,33 +109,55 @@ func (s *State) buildPairs() {
 	nl.PairDz = ensureF64(nl.PairDz, np)
 	nl.PairDist = ensureF64(nl.PairDist, np)
 
-	f32 := s.Opt.Float32Eval
+	box := s.Opt.Box
+	lx, ly, lz := box.Lx(), box.Ly(), box.Lz()
+	hx, hy, hz := lx/2, ly/2, lz/2
+	pbx, pby, pbz := box.PBCx, box.PBCy, box.PBCz
+	px, py, pz := p.X, p.Y, p.Z
 	par.ForChunked(n, func(lo, hi int) {
 		for a := lo; a < hi; a++ {
+			xa, ya, za := px[a], py[a], pz[a]
 			w := nl.PairOffsets[a]
 			for k := nl.Offsets[a]; k < nl.Offsets[a+1]; k++ {
 				d := nl.pairDisp[k]
 				if d == pairSkip {
 					continue
 				}
-				nl.PairIdx[w] = nl.Idx[k]
-				nl.PairBoth[w] = d - pairOne
-				if f32 {
-					nl.PairDx[w] = float64(float32(nl.Dx[k]))
-					nl.PairDy[w] = float64(float32(nl.Dy[k]))
-					nl.PairDz[w] = float64(float32(nl.Dz[k]))
-					nl.PairDist[w] = float64(float32(nl.Dist[k]))
-				} else {
-					nl.PairDx[w] = nl.Dx[k]
-					nl.PairDy[w] = nl.Dy[k]
-					nl.PairDz[w] = nl.Dz[k]
-					nl.PairDist[w] = nl.Dist[k]
+				b := nl.Idx[k]
+				dx := xa - px[b]
+				if pbx {
+					if dx > hx {
+						dx -= lx
+					} else if dx < -hx {
+						dx += lx
+					}
 				}
+				dy := ya - py[b]
+				if pby {
+					if dy > hy {
+						dy -= ly
+					} else if dy < -hy {
+						dy += ly
+					}
+				}
+				dz := za - pz[b]
+				if pbz {
+					if dz > hz {
+						dz -= lz
+					} else if dz < -hz {
+						dz += lz
+					}
+				}
+				nl.PairIdx[w] = b
+				nl.PairBoth[w] = d - pairOne
+				nl.PairDx[w] = dx
+				nl.PairDy[w] = dy
+				nl.PairDz[w] = dz
+				nl.PairDist[w] = nl.Dist[k]
 				w++
 			}
 		}
 	})
-	nl.pairsOK = true
 	// The per-pair kernel cache indexes the old fold; the fused XMass
 	// sweep of the next step rebuilds it.
 	s.symCacheOK = false
@@ -189,7 +193,7 @@ func (s *State) ensurePairKernels() {
 	s.symDwa = ensureF64(s.symDwa, np)
 	s.symDwb = ensureF64(s.symDwb, np)
 	wa, wb, dwa, dwb := s.symWa, s.symWb, s.symDwa, s.symDwb
-	wdw := wdwFunc(s.symKernel())
+	wdw := wdwFunc(s.Opt.Kernel)
 	par.ForChunked(n, func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			ha := p.H[a]
@@ -209,11 +213,11 @@ func (s *State) ensurePairKernels() {
 // caches the four values for the downstream IAD and momentum passes, and
 // accumulates the XMass and NormalizationGradh sums together (stride-2
 // scatter), so the gradh pass reduces to its O(n) finalization. Each
-// contribution is float-identical to the asymmetric per-direction
-// arithmetic; only summation order differs.
+// contribution is float-identical to the walk's per-direction arithmetic;
+// only summation order differs.
 func (s *State) xmassSym() {
 	p := s.P
-	k := s.symKernel()
+	k := s.Opt.Kernel
 	nl := s.List
 	n := p.N
 	np := int(nl.PairOffsets[n])
@@ -273,11 +277,10 @@ func (s *State) xmassSym() {
 
 // gradhSym finalizes the NormalizationGradh pass from the sums the fused
 // XMass sweep accumulated; when those are missing (passes driven out of
-// pipeline order) it falls back to the asymmetric list pass, which needs
-// only the main CSR rows.
+// pipeline order) it falls back to the closure-walk pass.
 func (s *State) gradhSym() {
 	if !s.symDsumOK {
-		s.gradhList()
+		s.gradhWalk()
 		return
 	}
 	p := s.P
@@ -375,7 +378,7 @@ func (s *State) iadSym() {
 			for t := nl.PairOffsets[a]; t < nl.PairOffsets[a+1]; t++ {
 				b := nl.PairIdx[t]
 				// r_b - r_a = -(dx, dy, dz); dv = v_b - v_a, both from a's
-				// side, exactly as iadList writes them.
+				// side, exactly as the walk writes them.
 				rx, ry, rz := -nl.PairDx[t], -nl.PairDy[t], -nl.PairDz[t]
 				dvx := p.VX[b] - p.VX[a]
 				dvy := p.VY[b] - p.VY[a]
@@ -431,10 +434,11 @@ func (s *State) iadSym() {
 // (cached by the fused XMass sweep, no table lookups here) and the
 // symmetrized pressure bracket are computed once per pair instead of
 // once per direction, and P/(Ω ρ²) and the Balsara factor are hoisted to
-// per-particle precomputations (the asymmetric path re-derives both for
-// the far particle on every visit). The far endpoint of a one-way record
-// still integrates the pair when the distance reaches its own support
-// boundary — exactly the Ext-transpose condition dist >= 2·h.
+// per-particle precomputations (the walk re-derives both for the far
+// particle on every visit). The far endpoint of a one-way record still
+// integrates the pair when the distance reaches its own support boundary —
+// dist >= 2·h, the pairs the walk's momentum scan admits through the other
+// particle's support.
 func (s *State) momentumSym() {
 	s.ensurePairKernels()
 	p := s.P

@@ -1,15 +1,11 @@
 package sph_test
 
-// Equivalence and structure tests for the folded symmetric pair path
-// (Options.SymmetricPairs): the pair list must cover every interaction of
-// the asymmetric CSR+Ext layout exactly once, the folded passes must match
-// the asymmetric list and the closure walk to 1e-9 over multi-step runs
-// (skin on and off, with and without gravity), checkpoint resume must stay
-// bit-identical, and the Float32Eval satellite must demonstrably fail the
-// 1e-9 gate while staying physically faithful.
+// Structure and allocation tests for the folded symmetric pair list: the
+// pair records must cover every interaction of the main rows exactly once
+// (with and without ngmax truncation), and the steady-state step must not
+// allocate per particle or per pair.
 
 import (
-	"bytes"
 	"math"
 	"runtime"
 	"sort"
@@ -67,86 +63,16 @@ func compareStates(t *testing.T, label string, a, b *sph.State, tol float64) {
 	}
 }
 
-// TestSymmetricMatchesAsymmetricTurbulence runs the three-way comparison
-// on periodic turbulence with the Verlet skin both on and off: the folded
-// passes must track the asymmetric list and the legacy closure walk to
-// 1e-9 over several steps (only float summation order differs).
-func TestSymmetricMatchesAsymmetricTurbulence(t *testing.T) {
-	for _, skin := range []struct {
-		name string
-		val  float64
-	}{{"skin", -1}, {"noskin", 0}} {
-		t.Run(skin.name, func(t *testing.T) {
-			mk := func(symmetric, walk bool) func() *sph.State {
-				return func() *sph.State {
-					p, opt := initcond.Turbulence(initcond.DefaultTurbulence(10))
-					opt.NgTarget = 32
-					opt.ReorderEvery = 0
-					opt.ClosureWalk = walk
-					opt.SymmetricPairs = symmetric
-					if skin.val >= 0 {
-						opt.Skin = skin.val
-					}
-					return sph.NewState(p, opt)
-				}
-			}
-			const steps = 4
-			sym := runSym(t, mk(true, false), steps, false)
-			asym := runSym(t, mk(false, false), steps, false)
-			walk := runSym(t, mk(false, true), steps, false)
-			if sym.List == nil || len(sym.List.PairOffsets) != sym.P.N+1 {
-				t.Fatal("symmetric run did not build the folded pair list")
-			}
-			compareStates(t, "sym-vs-asym", sym, asym, 1e-9)
-			compareStates(t, "sym-vs-walk", sym, walk, 1e-9)
-		})
-	}
-}
-
-// TestSymmetricMatchesAsymmetricEvrard is the same comparison on the
-// non-periodic gravity-coupled Evrard collapse, whose smoothing-length
-// contrasts produce one-way pairs (the Ext semantics the folded list must
-// reproduce through its dist >= 2h far-endpoint rule).
-func TestSymmetricMatchesAsymmetricEvrard(t *testing.T) {
-	mk := func(symmetric bool) func() *sph.State {
-		return func() *sph.State {
-			p, opt := initcond.Evrard(initcond.DefaultEvrard(10))
-			opt.NgTarget = 32
-			opt.ReorderEvery = 0
-			opt.SymmetricPairs = symmetric
-			return sph.NewState(p, opt)
-		}
-	}
-	const steps = 3
-	sym := runSym(t, mk(true), steps, true)
-	asym := runSym(t, mk(false), steps, true)
-	compareStates(t, "sym-vs-asym", sym, asym, 1e-9)
-}
-
-// TestSymmetricPairListCoverage checks the fold structurally against an
-// asymmetric twin built from identical initial conditions: for every
-// particle, the pair records that scatter into it must reproduce exactly
-// its main-CSR row (density-type passes) and exactly main ∪ Ext (momentum).
-func TestSymmetricPairListCoverage(t *testing.T) {
-	build := func(symmetric bool) *sph.State {
-		p, opt := initcond.Evrard(initcond.DefaultEvrard(8))
-		opt.NgTarget = 32
-		opt.SymmetricPairs = symmetric
-		st := sph.NewState(p, opt)
-		st.FindNeighbors()
-		return st
-	}
-	sym, asym := build(true), build(false)
-	nl, al := sym.List, asym.List
-	n := sym.P.N
-
-	// The main lists must be identical — the fold rides on top.
-	for i := 0; i <= n; i++ {
-		if nl.Offsets[i] != al.Offsets[i] {
-			t.Fatal("main CSR offsets differ between symmetric and asymmetric builds")
-		}
-	}
-
+// checkPairCoverage holds the fold to the main rows it was built from: for
+// every particle, the pair records that scatter into it must reproduce
+// exactly its main row (the density-type passes) and exactly its row plus
+// every j whose row holds it beyond its own support (MomentumEnergy, which
+// integrates a pair when either support covers it). Returns the number of
+// such one-way momentum pairs.
+func checkPairCoverage(t *testing.T, st *sph.State) int {
+	t.Helper()
+	nl := st.List
+	n := st.P.N
 	density := make([][]int32, n) // indices scattering into i for density-type passes
 	momentum := make([][]int32, n)
 	for a := 0; a < n; a++ {
@@ -159,16 +85,26 @@ func TestSymmetricPairListCoverage(t *testing.T) {
 			if both {
 				density[b] = append(density[b], int32(a))
 			}
-			if both || nl.PairDist[k] >= 2*sym.P.H[b] {
+			if both || nl.PairDist[k] >= 2*st.P.H[b] {
 				momentum[b] = append(momentum[b], int32(a))
 			}
 		}
 	}
-	rowOf := func(off, idx []int32, i int) []int32 {
-		seg := idx[off[i]:off[i+1]]
-		out := append([]int32(nil), seg...)
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		return out
+	wantDensity := make([][]int32, n)
+	wantMomentum := make([][]int32, n)
+	for i := 0; i < n; i++ {
+		for k := nl.Offsets[i]; k < nl.Offsets[i+1]; k++ {
+			j := nl.Idx[k]
+			wantDensity[i] = append(wantDensity[i], j)
+			wantMomentum[i] = append(wantMomentum[i], j)
+			if nl.Dist[k] >= 2*st.P.H[j] {
+				wantMomentum[j] = append(wantMomentum[j], int32(i))
+			}
+		}
+	}
+	sorted := func(s []int32) []int32 {
+		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
+		return s
 	}
 	equal := func(a, b []int32) bool {
 		if len(a) != len(b) {
@@ -183,181 +119,114 @@ func TestSymmetricPairListCoverage(t *testing.T) {
 	}
 	oneWay := 0
 	for i := 0; i < n; i++ {
-		sort.Slice(density[i], func(a, b int) bool { return density[i][a] < density[i][b] })
-		sort.Slice(momentum[i], func(a, b int) bool { return momentum[i][a] < momentum[i][b] })
-		wantDensity := rowOf(al.Offsets, al.Idx, i)
-		if !equal(density[i], wantDensity) {
-			t.Fatalf("particle %d: density coverage %v != main row %v", i, density[i], wantDensity)
+		if got, want := sorted(density[i]), sorted(wantDensity[i]); !equal(got, want) {
+			t.Fatalf("particle %d: density coverage %v != main row %v", i, got, want)
 		}
-		wantMomentum := append(wantDensity, rowOf(al.ExtOffsets, al.ExtIdx, i)...)
-		sort.Slice(wantMomentum, func(a, b int) bool { return wantMomentum[a] < wantMomentum[b] })
-		if !equal(momentum[i], wantMomentum) {
-			t.Fatalf("particle %d: momentum coverage %v != main+ext %v", i, momentum[i], wantMomentum)
+		if got, want := sorted(momentum[i]), sorted(wantMomentum[i]); !equal(got, want) {
+			t.Fatalf("particle %d: momentum coverage %v != %v", i, got, want)
 		}
-		oneWay += len(wantMomentum) - len(wantDensity)
+		oneWay += len(wantMomentum[i]) - len(wantDensity[i])
 	}
-	if oneWay == 0 {
-		t.Error("setup produced no one-way pairs; the Ext-equivalence branch went untested")
+	return oneWay
+}
+
+// TestSymmetricPairListCoverage checks the fold structurally on the Evrard
+// profile, whose smoothing-length contrasts produce one-way pairs.
+func TestSymmetricPairListCoverage(t *testing.T) {
+	p, opt := initcond.Evrard(initcond.DefaultEvrard(8))
+	opt.NgTarget = 32
+	st := sph.NewState(p, opt)
+	st.FindNeighbors()
+	if checkPairCoverage(t, st) == 0 {
+		t.Error("setup produced no one-way pairs; the asymmetric-support branch went untested")
 	}
 }
 
 // TestSymmetricNgmaxTruncation drives every row to the ngmax cap, forcing
-// the fold's truncation-aware reverse-edge scan, and checks the folded
-// pipeline still matches the asymmetric list exactly.
+// the fold's truncation-aware reverse-edge scan: the coverage must still
+// match the truncated rows exactly, and the folded density must equal the
+// per-row sum over those rows.
 func TestSymmetricNgmaxTruncation(t *testing.T) {
-	mk := func(symmetric bool) func() *sph.State {
-		return func() *sph.State {
-			p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
-			opt.NgTarget = 32
-			opt.NgMax = 8
-			opt.Skin = 0
-			opt.ReorderEvery = 0
-			opt.SymmetricPairs = symmetric
-			return sph.NewState(p, opt)
-		}
-	}
-	const steps = 2
-	sym := runSym(t, mk(true), steps, false)
-	asym := runSym(t, mk(false), steps, false)
-	if sym.List.Overflow == 0 {
-		t.Fatal("cap did not overflow; the truncation path went untested")
-	}
-	compareStates(t, "sym-vs-asym-truncated", sym, asym, 1e-9)
-}
-
-// TestSymmetricSkinCheckpointMidIntervalResume is the symmetric-mode twin
-// of TestSkinCheckpointMidIntervalResume: a checkpoint taken between
-// rebuilds must resume bit-identically — the folded pair list is derived
-// from the regenerated candidate snapshot, not persisted.
-func TestSymmetricSkinCheckpointMidIntervalResume(t *testing.T) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
 	opt.NgTarget = 32
-	opt.ReorderEvery = 3
-	opt.SymmetricPairs = true
-
-	orig := sph.NewState(p, opt)
-	const pre, post = 5, 6
-	for s := 0; s < pre; s++ {
-		orig.RunStep(nil)
+	opt.NgMax = 8
+	opt.ReorderEvery = 0
+	st := runSym(t, func() *sph.State { return sph.NewState(p, opt) }, 2, false)
+	st.FindNeighbors()
+	st.XMass()
+	nl := st.List
+	if nl.Overflow == 0 {
+		t.Fatal("cap did not overflow; the truncation path went untested")
 	}
-	if orig.List == nil || len(orig.List.PairOffsets) != orig.P.N+1 {
-		t.Fatal("no folded pair list after warm-up")
-	}
-	if orig.List.BuildStep >= orig.Step {
-		t.Fatalf("checkpoint is not mid-interval: BuildStep %d, Step %d",
-			orig.List.BuildStep, orig.Step)
-	}
-
-	var buf bytes.Buffer
-	if err := orig.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := sph.ReadCheckpoint(&buf, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	refreshes := 0
-	for s := 0; s < post; s++ {
-		origPrev, resumedPrev := orig.NbrStats, resumed.NbrStats
-		orig.RunStep(nil)
-		resumed.RunStep(nil)
-		or := orig.NbrStats.Rebuilds - origPrev.Rebuilds
-		rr := resumed.NbrStats.Rebuilds - resumedPrev.Rebuilds
-		if or != rr {
-			t.Fatalf("step %d: rebuild schedules diverged after resume (deltas %d vs %d)", orig.Step, or, rr)
+	checkPairCoverage(t, st)
+	k := st.Opt.Kernel
+	for i := 0; i < st.P.N; i++ {
+		h := st.P.H[i]
+		want := st.P.XM[i] * k.W(0, h)
+		for e := nl.Offsets[i]; e < nl.Offsets[i+1]; e++ {
+			want += st.P.XM[nl.Idx[e]] * k.W(nl.Dist[e], h)
 		}
-		refreshes += resumed.NbrStats.Refreshes - resumedPrev.Refreshes
-		po, pr := orig.P, resumed.P
-		for i := 0; i < po.N; i++ {
-			if po.X[i] != pr.X[i] || po.VX[i] != pr.VX[i] || po.U[i] != pr.U[i] ||
-				po.H[i] != pr.H[i] || po.NC[i] != pr.NC[i] {
-				t.Fatalf("step %d: particle %d diverged after resume", orig.Step, i)
-			}
+		if math.Abs(st.P.Kx[i]-want) > 1e-12*want {
+			t.Fatalf("particle %d: folded kx %.17g, per-row sum %.17g", i, st.P.Kx[i], want)
 		}
-		if orig.Dt != resumed.Dt {
-			t.Fatalf("step %d: dt diverged: %.17g vs %.17g", orig.Step, orig.Dt, resumed.Dt)
-		}
-	}
-	if refreshes == 0 {
-		t.Fatalf("resumed run never refreshed (stats %+v); the derived pair list went untested on refresh steps", resumed.NbrStats)
-	}
-}
-
-// TestFloat32EvalFailsEquivalenceGate records the ROADMAP verdict: float32
-// kernel-table evaluation with float64 accumulation does NOT hold the
-// pipeline's 1e-9 equivalence bar — float32 quantization contributes
-// ~1e-7 relative error per evaluation — while remaining physically
-// faithful (well under 1e-3 after several steps). If either bound breaks,
-// the documented verdict in the README needs updating.
-func TestFloat32EvalFailsEquivalenceGate(t *testing.T) {
-	mk := func(f32 bool) func() *sph.State {
-		return func() *sph.State {
-			p, opt := initcond.Turbulence(initcond.DefaultTurbulence(10))
-			opt.NgTarget = 32
-			opt.ReorderEvery = 0
-			opt.SymmetricPairs = true
-			opt.Float32Eval = f32
-			return sph.NewState(p, opt)
-		}
-	}
-	const steps = 3
-	exact := runSym(t, mk(false), steps, false)
-	quant := runSym(t, mk(true), steps, false)
-	worst := 0.0
-	for _, pair := range [][2][]float64{
-		{exact.P.Rho, quant.P.Rho},
-		{exact.P.AX, quant.P.AX},
-		{exact.P.U, quant.P.U},
-	} {
-		if dev := maxRelDev(pair[0], pair[1]); dev > worst {
-			worst = dev
-		}
-	}
-	if worst <= 1e-9 {
-		t.Errorf("float32 evaluation unexpectedly holds the 1e-9 gate (max dev %.3g) — the documented verdict is stale", worst)
-	}
-	if worst > 1e-3 {
-		t.Errorf("float32 evaluation deviates by %.3g — beyond quantization noise, something is broken", worst)
-	}
-	if math.IsNaN(worst) {
-		t.Error("float32 run produced NaNs")
 	}
 }
 
 // TestSymmetricPassesSteadyStateAllocFree pins the allocation-free steady
-// state of the folded passes: once the scatter accumulators and scratch
-// are warm, a full density→momentum sweep performs no data-dependent
-// allocation. A small constant number of allocations per sweep remains —
-// escaping closure headers in the par layer, shared with the asymmetric
-// path — so the test asserts the count is tiny AND independent of problem
-// size (no per-particle or per-pair allocation).
+// state of the production step: once the neighbor-list buffers, the slab
+// sweep scratch and the scatter accumulators are warm, FindNeighbors and a
+// full density→momentum sweep perform no data-dependent allocation — no
+// chunk buffers, no merge copies, no regrown lists. A small constant number
+// of allocations per step remains — escaping closure headers in the par
+// layer — so the test asserts the count is tiny AND independent of problem
+// size, and that the bytes allocated per step are too.
 func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	sweepAllocs := func(nside int) float64 {
+	type cost struct{ allocs, bytes float64 }
+	stepCost := func(nside int) cost {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(nside))
 		opt.NgTarget = 32
-		opt.SymmetricPairs = true
+		opt.ReorderEvery = 0
 		st := sph.NewState(p, opt)
-		for s := 0; s < 2; s++ {
+		for s := 0; s < 3; s++ {
 			st.RunStep(nil)
 		}
-		st.FindNeighbors()
-		return testing.AllocsPerRun(5, func() {
+		if !st.SweptLastGather() {
+			t.Fatalf("%d³: the slab sweep is not engaged; the steady state under test is the fallback", nside)
+		}
+		step := func() {
+			st.FindNeighbors()
 			st.XMass()
 			st.NormalizationGradh()
 			st.EquationOfState()
 			st.IADVelocityDivCurl()
 			st.AVSwitches(st.Dt)
 			st.MomentumEnergy()
-		})
+		}
+		step() // the list buffers grow to this configuration's size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for r := 0; r < runs; r++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return cost{
+			allocs: testing.AllocsPerRun(runs, step),
+			bytes:  float64(after.TotalAlloc-before.TotalAlloc) / runs,
+		}
 	}
-	small, large := sweepAllocs(8), sweepAllocs(12)
-	if small != large {
-		t.Errorf("steady-state sweep allocations scale with problem size: %.0f at 8³ vs %.0f at 12³", small, large)
+	small, large := stepCost(16), stepCost(20)
+	t.Logf("steady-state step: %.0f allocs, %.0f B at 16³; %.0f allocs, %.0f B at 20³",
+		small.allocs, small.bytes, large.allocs, large.bytes)
+	if small.allocs != large.allocs {
+		t.Errorf("steady-state step allocations scale with problem size: %.0f at 16³ vs %.0f at 20³", small.allocs, large.allocs)
 	}
-	if large > 24 {
-		t.Errorf("steady-state sweep allocates %.0f times, want a small constant (≤ 24 closure headers)", large)
+	if large.allocs > 24 {
+		t.Errorf("steady-state step allocates %.0f times, want a small constant (≤ 24 closure headers)", large.allocs)
+	}
+	if large.bytes > 2048 {
+		t.Errorf("steady-state step allocates %.0f bytes, want only closure headers (≤ 2 KiB)", large.bytes)
 	}
 }

@@ -93,24 +93,14 @@ func (s *State) Timestep() float64 {
 // IADVelocityDivCurl, AVSwitches, MomentumEnergy, optional extra
 // accelerations (self-gravity), Timestep, UpdateQuantities. extraAccel, if
 // non-nil, runs after MomentumEnergy and must add into AX/AY/AZ. Returns
-// the timestep taken. Once Options.ReorderEvery steps have passed since the
-// last SFC reorder the particles are re-sorted along the Morton curve (see
-// ReorderBySFC) on the next step whose neighbor candidates rebuild anyway
-// (at the latest after 2×ReorderEvery steps); the decision depends only on
+// the timestep taken. Every Options.ReorderEvery steps since the last SFC
+// reorder the particles are re-sorted along the Morton curve (see
+// ReorderBySFC) before the neighbor search; the decision depends only on
 // checkpointed state, so restarts replay the same reorder steps.
 func (s *State) RunStep(extraAccel func(p *Particles)) float64 {
-	if k := s.Opt.ReorderEvery; k > 0 && s.Step > 0 {
-		// Keyed to the rebuild trigger: reordering invalidates the cached
-		// Verlet-skin candidate list, so once the cadence expires the
-		// reorder piggybacks on a step that rebuilds anyway, and is forced
-		// at 2K so the layout cannot go permanently stale. Without skin
-		// reuse every step rebuilds and this reduces to reordering exactly
-		// every K steps, as before.
-		since := s.Step - s.LastReorderStep
-		if since >= k && (since >= 2*k || s.rebuildDue()) {
-			s.ReorderBySFC()
-			s.LastReorderStep = s.Step
-		}
+	if k := s.Opt.ReorderEvery; k > 0 && s.Step > 0 && s.Step-s.LastReorderStep >= k {
+		s.ReorderBySFC()
+		s.LastReorderStep = s.Step
 	}
 	s.pass(PassFindNeighbors, s.FindNeighbors)
 	s.pass(PassXMass, s.XMass)
